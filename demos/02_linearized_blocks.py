@@ -8,8 +8,9 @@
 #     of [J_y J_z], one consistent least-squares solve), and
 #   * the minimum-norm characterisation (parameterize all solutions of the
 #     linearized system, project out the removable output component).
-# Both agree to working precision, and the answer does not depend on how
-# the latent space is parameterized.
+# The min-norm route is the one condition numbers come from; the pipeline
+# is the reference it is checked against.  Both agree to working precision,
+# and the answer does not depend on how the latent space is parameterized.
 
 import numpy as np
 
@@ -31,7 +32,7 @@ print(f"  residual dim {blocks.j_x.shape[0]}, dim_x={blocks.j_x.shape[1]}, "
 dh_pipeline = solution_map_derivative(blocks)
 dh_minnorm = solution_map_derivative_minnorm(blocks)
 gap = np.linalg.norm(dh_pipeline - dh_minnorm) / (1 + np.linalg.norm(dh_pipeline))
-print(f"  pipeline vs min-norm oracle: relative difference {gap:.2e}")
+print(f"  pipeline vs min-norm route: relative difference {gap:.2e}")
 
 kappa_y, kappa_z, kappa_yz, _ = condition_numbers_from_blocks(blocks)
 print(f"  kappa_y = {kappa_y:.6f}, kappa_z = {kappa_z:.6f}, kappa_yz = {kappa_yz:.6f}")

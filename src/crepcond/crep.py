@@ -14,15 +14,17 @@ This module provides:
 
 * runtime rank certificates for the constant-rank hypotheses, checked at a
   reference solution and at sampled nearby solutions;
-* ``DH`` via an orthogonal elimination pipeline (:func:`solution_map_derivative`)
-  and via an independent minimum-norm characterisation
-  (:func:`solution_map_derivative_minnorm`), which agree on every certified
-  instance;
-* the special case without latent variables (:func:`fcre_solution_derivative`),
-  where ``DH`` is a pseudoinverse formula;
+* ``DH`` via its minimum-norm characterisation
+  (:func:`solution_map_derivative_minnorm`), the production route: one
+  minimum-norm solve of the linearised system plus the kernel of
+  ``[j_y  j_z]`` give the derivatives for ``y``, for ``z`` and for the pair;
 * the three condition numbers kappa_y, kappa_z and kappa_yz, where solving
   for the pair ``(y, z)`` is always at least as ill-conditioned as solving
-  for either variable alone.
+  for either variable alone;
+* two independent reference routes, used only by the verification suite
+  and the tests: an orthogonal elimination pipeline
+  (:func:`solution_map_derivative`) and, for problems without latent
+  variables, the pseudoinverse formula (:func:`fcre_solution_derivative`).
 
 All Jacobians are expressed in tangent-chart coordinates: orthonormal bases
 of the tangent spaces of the input and output manifolds (so chart norms are
@@ -32,7 +34,6 @@ defaults to orthonormal but whose choice provably does not affect ``DH``.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 from typing import Callable
 
@@ -66,7 +67,6 @@ __all__ = [
     "defining_equation_residuals",
     "evaluate_blocks",
     "fcre_solution_derivative",
-    "inject_rhs_sign_fault",
     "make_crep_point",
     "solution_map_derivative",
     "solution_map_derivative_minnorm",
@@ -244,26 +244,20 @@ def evaluate_blocks(problem: CrepProblem, point: CrepPoint) -> JacobianBlocks:
 # ---------------------------------------------------------------------------
 # Solution-map derivative.
 
-# Self-test hook: when enabled, the sign of the right-hand side of the
-# elimination system is flipped, which corrupts DH while preserving its
-# norm.  The verification suite uses this to confirm that the defining
-# equation residuals actually catch a miscomputed derivative.
-_FAULT_FLIP_RHS = False
-
-
-@contextlib.contextmanager
-def inject_rhs_sign_fault():
-    """Context manager that deliberately corrupts :func:`solution_map_derivative`."""
-    global _FAULT_FLIP_RHS
-    _FAULT_FLIP_RHS = True
-    try:
-        yield
-    finally:
-        _FAULT_FLIP_RHS = False
+def _elimination_bases(blocks: JacobianBlocks, rtol: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """``q``, a basis of span(j_z)-perp, and ``u_y``, the output rows of a
+    kernel basis of ``[j_y  j_z]``: the two bases of the elimination system."""
+    q = complement_basis(blocks.j_z, rtol)
+    kern = kernel_basis(np.hstack([blocks.j_y, blocks.j_z]), rtol)
+    return q, kern[: blocks.j_y.shape[1], :]
 
 
 def solution_map_derivative(blocks: JacobianBlocks, rtol: float | None = None) -> np.ndarray:
     """Derivative ``DH`` of the canonical solution map, by orthogonal elimination.
+
+    The reference route that the verification suite and the tests check
+    the production min-norm route (:func:`solution_map_derivative_minnorm`)
+    against.
 
     The latent block is eliminated by restricting the linearised system to
     the orthogonal complement of its column span, and the solution is made
@@ -285,16 +279,13 @@ def solution_map_derivative(blocks: JacobianBlocks, rtol: float | None = None) -
     even though DH itself may be perfectly conditioned.  For delta near
     roundoff the consistency check then fails with
     :class:`crepcond.linalg.InconsistentSystemError`; the min-norm route
-    (:func:`solution_map_derivative_minnorm`) does not involve this split
-    and stays robust on such instances.
+    does not involve this split and stays robust on such instances.
     """
     j_x, j_y, j_z = blocks.j_x, blocks.j_y, blocks.j_z
     dim_x, dim_y = j_x.shape[1], j_y.shape[1]
     if dim_y == 0:
         return np.zeros((0, dim_x))
-    q = complement_basis(j_z, rtol)
-    kern = kernel_basis(np.hstack([j_y, j_z]), rtol)
-    u_y = kern[:dim_y, :]
+    q, u_y = _elimination_bases(blocks, rtol)
     a = np.vstack([q.T @ j_y, u_y.T])
     decision = numerical_rank(a, rtol)
     if decision.rank < dim_y:
@@ -302,16 +293,42 @@ def solution_map_derivative(blocks: JacobianBlocks, rtol: float | None = None) -
             f"elimination system is rank deficient ({decision.rank} < {dim_y}); "
             "the constant-rank hypotheses do not hold at this point"
         )
-    rhs_top = -(q.T @ j_x)
-    if _FAULT_FLIP_RHS:
-        rhs_top = -rhs_top
-    rhs = np.vstack([rhs_top, np.zeros((u_y.shape[1], dim_x))])
+    rhs = np.vstack([-(q.T @ j_x), np.zeros((u_y.shape[1], dim_x))])
     scale = spectral_norm(j_x) + spectral_norm(j_y) + spectral_norm(j_z)
     return min_norm_solve(a, rhs, rtol, scale=scale)
 
 
+def _minnorm_derivatives(
+    blocks: JacobianBlocks, rtol: float | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(DH_y, DH_z, DH_yz)`` from one minimum-norm solve of the linearised system.
+
+    ``DH_yz`` is the minimum-norm solution of ``[j_y  j_z] d = -j_x``.
+    Every solution differs from it by a kernel vector of ``[j_y  j_z]``, so
+    the minimum-norm output (latent) component is its output (latent) rows
+    projected off the span of the matching kernel rows.
+    """
+    j_x, j_y, j_z = blocks.j_x, blocks.j_y, blocks.j_z
+    dim_y = j_y.shape[1]
+    j_yz = np.hstack([j_y, j_z])
+    scale = spectral_norm(j_x) + spectral_norm(j_yz)
+    try:
+        dh_yz = min_norm_solve(j_yz, -j_x, rtol, scale=scale)
+    except ValueError as exc:
+        raise RankHypothesisError(f"linearised system is inconsistent: {exc}") from exc
+    kern = kernel_basis(j_yz, rtol)
+
+    def project_off_kernel(part, kern_rows):
+        b = orthonormalize(kern_rows, rtol)
+        return part - b @ (b.T @ part)
+
+    dh_y = project_off_kernel(dh_yz[:dim_y], kern[:dim_y])
+    dh_z = project_off_kernel(dh_yz[dim_y:], kern[dim_y:])
+    return dh_y, dh_z, dh_yz
+
+
 def solution_map_derivative_minnorm(blocks: JacobianBlocks, rtol: float | None = None) -> np.ndarray:
-    """``DH`` via its minimum-norm characterisation; an independent oracle.
+    """``DH`` via its minimum-norm characterisation; the production route.
 
     For each input direction, ``DH`` maps to the solution component of
     minimum output norm among all ``(dy, dz)`` with
@@ -319,23 +336,11 @@ def solution_map_derivative_minnorm(blocks: JacobianBlocks, rtol: float | None =
     The affine solution set is parameterised by a particular minimum-norm
     solution plus the kernel of ``[j_y  j_z]``; the minimiser is obtained
     by projecting the particular solution's output component onto the
-    orthogonal complement of the output-projection of that kernel.
+    orthogonal complement of the output-projection of that kernel.  The
+    same solve gives every derivative :func:`condition_numbers_from_blocks`
+    reports; :func:`solution_map_derivative` is the independent reference.
     """
-    j_x, j_y, j_z = blocks.j_x, blocks.j_y, blocks.j_z
-    dim_x, dim_y = j_x.shape[1], j_y.shape[1]
-    if dim_y == 0:
-        return np.zeros((0, dim_x))
-    j_yz = np.hstack([j_y, j_z])
-    scale = spectral_norm(j_x) + spectral_norm(j_yz)
-    try:
-        particular = min_norm_solve(j_yz, -j_x, rtol, scale=scale)
-    except ValueError as exc:
-        raise RankHypothesisError(f"linearised system is inconsistent: {exc}") from exc
-    y_part = particular[:dim_y, :]
-    kern = kernel_basis(j_yz, rtol)
-    k_y = kern[:dim_y, :]
-    b = orthonormalize(k_y, rtol)
-    return y_part - b @ (b.T @ y_part)
+    return _minnorm_derivatives(blocks, rtol)[0]
 
 
 def fcre_solution_derivative(j_x, j_y, rtol: float | None = None) -> np.ndarray:
@@ -369,9 +374,7 @@ def defining_equation_residuals(blocks: JacobianBlocks, dh, rtol: float | None =
     true solution-map derivative.
     """
     dh = as_matrix(dh, "dh")
-    q = complement_basis(blocks.j_z, rtol)
-    kern = kernel_basis(np.hstack([blocks.j_y, blocks.j_z]), rtol)
-    u_y = kern[: blocks.j_y.shape[1], :]
+    q, u_y = _elimination_bases(blocks, rtol)
     feas = spectral_norm(q.T @ (blocks.j_x + blocks.j_y @ dh))
     orth = spectral_norm(u_y.T @ dh)
     scale = spectral_norm(blocks.j_x) + spectral_norm(blocks.j_y) * spectral_norm(dh)
@@ -414,16 +417,12 @@ def _rank_checks(blocks: JacobianBlocks, dims: CrepDims, rtol: float):
     r = d_yz.rank
     k = d_z.rank
     nullity_yz = dims.dim_y + dims.dim_z - r
-    nullity_df = dims.dim_x + dims.dim_y + dims.dim_z - d_df.rank
     problems = []
+    # rank DF = r is the same statement as nullity DF = dim_x + nullity [j_y j_z].
     if d_df.rank != r:
         problems.append(f"rank DF = {d_df.rank} differs from rank [j_y j_z] = {r}")
-    if nullity_df != dims.dim_x + nullity_yz:
-        problems.append(
-            f"nullity DF = {nullity_df} differs from dim_x + nullity [j_y j_z] = {dims.dim_x + nullity_yz}"
-        )
     gap = min(d.gap_at_cut() for d in (d_df, d_yz, d_z))
-    return r, k, d_df.rank, nullity_yz, gap, problems
+    return r, k, d_df, nullity_yz, gap, problems
 
 
 def certify_crep(
@@ -453,11 +452,9 @@ def certify_crep(
         rtol = default_rtol((dims.n_residual, dims.dim_x + dims.dim_y + dims.dim_z))
 
     blocks0 = evaluate_blocks(problem, point)
-    r0, k0, rank_df0, nullity0, gap0, messages = _rank_checks(blocks0, dims, rtol)
+    r0, k0, d_df0, nullity0, gap0, messages = _rank_checks(blocks0, dims, rtol)
     min_gap = gap0
-    tolerance_abs = rtol * max(
-        spectral_norm(np.hstack([blocks0.j_x, blocks0.j_y, blocks0.j_z])), 1e-300
-    )
+    tolerance_abs = max(d_df0.tolerance_used, rtol * 1e-300)  # rtol * sigma_max(DF)
 
     from . import empirical  # deferred: empirical builds on this module
 
@@ -494,7 +491,7 @@ def certify_crep(
     return RankCertificate(
         r=r0,
         k=k0,
-        rank_df=rank_df0,
+        rank_df=d_df0.rank,
         nullity_yz=nullity0,
         samples_checked=samples_checked,
         resolve_failures=resolve_failures,
@@ -531,14 +528,13 @@ class ConditionReport:
 def condition_numbers_from_blocks(
     blocks: JacobianBlocks, rtol: float | None = None
 ) -> tuple[float, float, float, np.ndarray]:
-    """``(kappa_y, kappa_z, kappa_yz, dh)`` from chart-coordinate blocks."""
-    dh = solution_map_derivative(blocks, rtol)
-    kappa_y = spectral_norm(dh)
-    dh_z = solution_map_derivative(blocks.swap_outputs(), rtol)
-    kappa_z = spectral_norm(dh_z)
-    dh_yz = fcre_solution_derivative(blocks.j_x, np.hstack([blocks.j_y, blocks.j_z]), rtol)
-    kappa_yz = spectral_norm(dh_yz)
-    return kappa_y, kappa_z, kappa_yz, dh
+    """``(kappa_y, kappa_z, kappa_yz, dh)`` from chart-coordinate blocks.
+
+    All three derivatives come from one minimum-norm solve of the
+    linearised system (see :func:`solution_map_derivative_minnorm`).
+    """
+    dh, dh_z, dh_yz = _minnorm_derivatives(blocks, rtol)
+    return spectral_norm(dh), spectral_norm(dh_z), spectral_norm(dh_yz), dh
 
 
 def condition_numbers(

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crep import CrepPoint, CrepProblem, evaluate_blocks, solution_map_derivative
+from .crep import CrepPoint, CrepProblem, evaluate_blocks, solution_map_derivative_minnorm
 from .linalg import kernel_basis, orthonormalize
 
 __all__ = [
@@ -230,7 +230,7 @@ def finite_difference_check(
     if abs(float(np.linalg.norm(direction)) - 1.0) > 1e-8:
         raise ValueError("direction must have unit norm in the input chart")
     blocks = evaluate_blocks(problem, point)
-    dh = solution_map_derivative(blocks)
+    dh = solution_map_derivative_minnorm(blocks)
     cx = problem.x_chart(point.x, point.y, point.z)
     cy = problem.y_chart(point.x, point.y, point.z)
     predicted = cy.basis @ (dh @ direction)
@@ -276,7 +276,7 @@ def empirical_condition(
     if radius <= 0.0:
         raise ValueError("radius must be positive")
     blocks = evaluate_blocks(problem, point)
-    dh = solution_map_derivative(blocks)
+    dh = solution_map_derivative_minnorm(blocks)
     cx = problem.x_chart(point.x, point.y, point.z)
     dim_x = problem.dims.dim_x
 

@@ -118,7 +118,8 @@ def kernel_basis(m, rtol: float | None = None) -> np.ndarray:
     n = m.shape[1]
     if m.shape[0] == 0 or n == 0:
         return np.eye(n)
-    _, s, vh = np.linalg.svd(m, full_matrices=True)
+    # A thin SVD of a tall or square matrix already returns the full n x n vh.
+    _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < n)
     tol = rtol * float(s[0]) if s.size else 0.0
     rank = int(np.count_nonzero(s > tol))
     return vh[rank:].T

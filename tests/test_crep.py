@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from crepcond.crep import (
     defining_equation_residuals,
     evaluate_blocks,
     fcre_solution_derivative,
-    inject_rhs_sign_fault,
     make_crep_point,
     solution_map_derivative,
     solution_map_derivative_minnorm,
@@ -156,10 +157,11 @@ def test_minnorm_zero_when_latent_absorbs_everything():
 
 def test_pipeline_matches_minnorm_on_random_instances():
     for i in range(40):
-        blocks = random_linearized_blocks((100, i))
-        dh1 = solution_map_derivative(blocks)
-        dh2 = solution_map_derivative_minnorm(blocks)
-        assert np.linalg.norm(dh1 - dh2) <= 1e-10 * (1 + np.linalg.norm(dh1))
+        base = random_linearized_blocks((100, i))
+        for blocks in (base, base.swap_outputs()):
+            dh1 = solution_map_derivative(blocks)
+            dh2 = solution_map_derivative_minnorm(blocks)
+            assert np.linalg.norm(dh1 - dh2) <= 1e-10 * (1 + np.linalg.norm(dh1))
 
 
 def test_defining_equation_residuals_small():
@@ -174,8 +176,7 @@ def test_defining_equation_residuals_small():
 def test_fault_injection_breaks_defining_equations():
     problem, point = polar_problem(0.0)
     blocks = evaluate_blocks(problem, point)
-    with inject_rhs_sign_fault():
-        dh_bad = solution_map_derivative(blocks)
+    dh_bad = -solution_map_derivative(blocks)
     feas, _, scale = defining_equation_residuals(blocks, dh_bad)
     assert feas > 1e-6 * scale
 
@@ -270,6 +271,7 @@ def test_certify_rejects_rank_drop_at_origin():
     cert = certify_crep(problem, point, n_samples=4, radius=1e-3, seed=0)
     assert not cert.passed
     assert cert.messages
+    assert sum("DF" in msg for msg in cert.messages) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +313,30 @@ def test_monotonicity_on_random_instances():
         kappa_y, kappa_z, kappa_yz, _ = condition_numbers_from_blocks(random_linearized_blocks((103, i)))
         assert kappa_y <= kappa_yz + 1e-8 * (1 + kappa_yz)
         assert kappa_z <= kappa_yz + 1e-8 * (1 + kappa_yz)
+
+
+def test_kappa_z_and_kappa_yz_match_reference_routes():
+    for i in range(40):
+        blocks = random_linearized_blocks((106, i))
+        _, kappa_z, kappa_yz, _ = condition_numbers_from_blocks(blocks)
+        ref_z = spectral_norm(solution_map_derivative(blocks.swap_outputs()))
+        ref_yz = spectral_norm(fcre_solution_derivative(blocks.j_x, np.hstack([blocks.j_y, blocks.j_z])))
+        assert abs(kappa_z - ref_z) <= 1e-10 * (1 + ref_z)
+        assert abs(kappa_yz - ref_yz) <= 1e-12 * (1 + ref_yz)
+
+
+def test_kappa_stage_allocates_nothing_of_residual_size_squared():
+    point = random_tucker_point((8, 8, 8), (3, 3, 3), 28)
+    problem, pt = build_tucker_crep(TuckerCrepConfig(point, 0))
+    blocks = evaluate_blocks(problem, pt)
+    n_res = blocks.n_residual
+    tracemalloc.start()
+    try:
+        condition_numbers_from_blocks(blocks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n_res**2 * 8
 
 
 def test_z_chart_invariance():
