@@ -137,8 +137,9 @@ class CrepProblem:
     Retractions map an ambient tangent displacement back to the manifold
     and default to flat addition.
 
-    Evaluators must be pure (safe for concurrent invocation); ``scale`` is
-    a characteristic magnitude of the reference data used to set default
+    Evaluators must be pure (safe for concurrent invocation) and may return
+    shared read-only arrays, which callers must not modify.  ``scale`` is a
+    characteristic magnitude of the reference data used to set default
     solver and sampling tolerances.
     """
 

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .crep import CrepDims, CrepPoint, CrepProblem, JacobianBlocks, TangentChart, make_crep_point
-from .linalg import as_matrix, orthonormalize, spectral_norm
+from .linalg import _shared_identity, as_matrix, orthonormalize, spectral_norm
 from .tensor import load_tensor, multilinear_rank, hosvd, tensor_from_obj
 from .tucker import TuckerCrepConfig, build_tucker_crep
 
@@ -111,13 +111,12 @@ def matrix_factorization_problem(m: int, n: int, k_rank: int, seed: int = 0) -> 
     z_ref = rng.standard_normal((k_rank, n))
     x_ref = y_ref @ z_ref
     dim_x = (m + n - k_rank) * k_rank
+    j_x = _shared_identity(m * n)
 
     def jacobian(x, y, z):
         y_mat = y.reshape(m, k_rank)
         z_mat = z.reshape(k_rank, n)
-        j_y = -np.kron(np.eye(m), z_mat.T)
-        j_z = -np.kron(y_mat, np.eye(n))
-        return np.eye(m * n), j_y, j_z
+        return j_x, -np.kron(np.eye(m), z_mat.T), -np.kron(y_mat, np.eye(n))
 
     def residual(x, y, z):
         return x - (y.reshape(m, k_rank) @ z.reshape(k_rank, n)).ravel()

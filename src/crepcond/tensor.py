@@ -229,39 +229,27 @@ def stiefel_tangent_basis(u) -> np.ndarray:
     The tangent space at an ``n x m`` matrix with orthonormal columns is
     ``{v : u.T v + v.T u = 0}``; its dimension is ``n m - m (m + 1) / 2``.
     Columns of the result are vectorized ``n x m`` matrices: first the
-    skew rotations ``u @ (E_ij - E_ji) / sqrt(2)`` for ``i < j``, then the
-    horizontal directions from :func:`horizontal_tangent_basis`.
+    skew rotations ``u @ (E_ij - E_ji) / sqrt(2)`` for ``i < j`` (``j`` slowest),
+    then the horizontal directions from :func:`horizontal_tangent_basis`.
     """
     u = _check_orthonormal(u)
     n, m = u.shape
-    cols = []
+    j_idx, i_idx = np.tril_indices(m, -1)
+    pairs = np.arange(j_idx.size)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for j in range(m):
-        for i in range(j):
-            v = np.zeros((n, m))
-            v[:, j] = u[:, i] * inv_sqrt2
-            v[:, i] = -u[:, j] * inv_sqrt2
-            cols.append(v.ravel())
-    horiz = horizontal_tangent_basis(u)
-    blocks = [np.column_stack(cols) if cols else np.zeros((n * m, 0)), horiz]
-    return np.hstack(blocks)
+    skew = np.zeros((n, m, j_idx.size))
+    skew[:, j_idx, pairs] = u[:, i_idx] * inv_sqrt2
+    skew[:, i_idx, pairs] = -u[:, j_idx] * inv_sqrt2
+    return np.hstack([skew.reshape(n * m, -1), np.kron(complement_basis(u), np.eye(m))])
 
 
 def horizontal_tangent_basis(u) -> np.ndarray:
     """Orthonormal basis of ``{v : u.T v = 0}``, dimension ``(n - m) m``.
 
-    For square ``u`` the basis is empty.
+    Column ``k m + l`` is ``perp[:, k] e_l.T`` for ``perp = complement_basis(u)``.
     """
     u = _check_orthonormal(u)
-    n, m = u.shape
-    perp = complement_basis(u)
-    cols = []
-    for k in range(perp.shape[1]):
-        for l in range(m):
-            v = np.zeros((n, m))
-            v[:, l] = perp[:, k]
-            cols.append(v.ravel())
-    return np.column_stack(cols) if cols else np.zeros((n * m, 0))
+    return np.kron(complement_basis(u), np.eye(u.shape[1]))
 
 
 def _check_orthonormal(u) -> np.ndarray:
@@ -279,26 +267,31 @@ def mlrank_tangent_dim(shape, ranks) -> int:
     return int(np.prod(ranks, dtype=int)) + sum((n - m) * m for n, m in zip(shape, ranks))
 
 
+def _factor_directions(factors, core, mode: int, left) -> np.ndarray:
+    """Column ``k m + l`` is the vectorized ``(U_1, .., left[:, k] e_l.T, .., U_D) . core``.
+
+    By the flattening identity that is ``left[:, k]`` times row ``l`` of the
+    partial product ``(U_1, .., I, .., U_D) . core`` flattened at ``mode``.
+    """
+    mats = list(factors)
+    mats[mode] = np.eye(core.shape[mode])
+    partial = multilinear_multiply(mats, core)
+    before = int(np.prod(partial.shape[:mode], dtype=int))
+    cols = np.einsum("ik,bla->biakl", left, partial.reshape(before, core.shape[mode], -1))
+    return cols.reshape(math.prod(cols.shape[:3]), -1)
+
+
 def mlrank_tangent_blocks(p: TuckerPoint) -> list[np.ndarray]:
     """The D+1 raw summand blocks spanning the fixed-multilinear-rank tangent space.
 
     Block 0 maps core velocities through the factors (an isometry, hence
     already orthonormal); block ``d + 1`` maps horizontal velocities of
-    factor ``d`` through the remaining decomposition.  The blocks are
-    pairwise orthogonal in the Frobenius inner product.
+    factor ``d`` through the remaining decomposition, built from one partial
+    product by the flattening identity.  The blocks are pairwise orthogonal
+    in the Frobenius inner product.
     """
-    blocks = [_kron_chain(p.factors)]
-    for d in range(p.order):
-        horiz = horizontal_tangent_basis(p.factors[d])
-        cols = []
-        for idx in range(horiz.shape[1]):
-            v = horiz[:, idx].reshape(p.factors[d].shape)
-            mats = list(p.factors)
-            mats[d] = v
-            cols.append(multilinear_multiply(mats, p.core).ravel())
-        n_amb = p.product.size
-        blocks.append(np.column_stack(cols) if cols else np.zeros((n_amb, 0)))
-    return blocks
+    blocks = [_factor_directions(p.factors, p.core, d, complement_basis(u)) for d, u in enumerate(p.factors)]
+    return [_kron_chain(p.factors)] + blocks
 
 
 def mlrank_tangent_basis(p: TuckerPoint, rtol: float | None = None) -> np.ndarray:

@@ -31,9 +31,10 @@ from .crep import (
     condition_numbers,
     make_crep_point,
 )
-from .linalg import default_rtol
+from .linalg import _shared_identity, default_rtol
 from .tensor import (
     TuckerPoint,
+    _factor_directions,
     _kron_chain,
     flatten,
     hosvd,
@@ -141,28 +142,16 @@ def build_tucker_crep(config: TuckerCrepConfig) -> tuple[CrepProblem, CrepPoint]
         core, factors = unpack(y_vec, z_vec)
         return np.asarray(x, dtype=float) - multilinear_multiply(factors, core).ravel()
 
+    j_x = _shared_identity(n_res)
+
     def jacobian(x, y_vec, z_vec):
         core, factors = unpack(y_vec, z_vec)
-        parts = {"core": -_kron_chain(factors)}
-        for d in range(order):
-            n_d, m_d = factors[d].shape
-            cols = np.empty((n_res, n_d * m_d))
-            e = np.zeros((n_d, m_d))
-            for idx in range(n_d * m_d):
-                e.flat[idx] = 1.0
-                mats = list(factors)
-                mats[d] = e
-                cols[:, idx] = -multilinear_multiply(mats, core).ravel()
-                e.flat[idx] = 0.0
-            parts[d] = cols
-        j_y = parts[out]
-        j_z = np.hstack([parts[c] for c in z_comps])
-        return np.eye(n_res), j_y, j_z
+        parts = {d: _factor_directions(factors, core, d, -np.eye(shape[d])) for d in range(order)}
+        parts["core"] = -_kron_chain(factors)
+        return j_x, parts[out], np.hstack([parts[c] for c in z_comps])
 
     def comp_basis(c, core, factors):
-        if c == "core":
-            return np.eye(core.size)
-        return stiefel_tangent_basis(factors[c])
+        return _shared_identity(core.size) if c == "core" else stiefel_tangent_basis(factors[c])
 
     def x_chart(x, y_vec, z_vec):
         core, factors = unpack(y_vec, z_vec)

@@ -433,6 +433,7 @@ def check_jacobian_consistency(seed=0) -> CheckResult:
         polar_problem(0.0),
         matrix_factorization_problem(4, 3, 2, seed=seed),
         build_tucker_crep(TuckerCrepConfig(random_tucker_point((4, 3), (2, 2), seed), 0)),
+        build_tucker_crep(TuckerCrepConfig(random_tucker_point((5, 3, 4), (2, 3, 2), seed), 0)),
     ]
     for problem, pt in problems:
         errs = empirical.jacobian_consistency_check(problem, pt, steps=(1e-3, 1e-4), seed=seed)

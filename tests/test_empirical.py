@@ -218,6 +218,7 @@ def test_jacobian_consistency_second_order_decay():
         polar_problem(0.0),
         matrix_factorization_problem(4, 3, 2, seed=44),
         build_tucker_crep(TuckerCrepConfig(random_tucker_point((4, 3), (2, 2), 45), 0)),
+        build_tucker_crep(TuckerCrepConfig(random_tucker_point((5, 3, 4), (2, 3, 2), 45), 0)),
     ):
         errors = jacobian_consistency_check(problem, point, steps=(1e-3, 1e-4), seed=46)
         for e1, e2 in errors:

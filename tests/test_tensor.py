@@ -1,11 +1,13 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from crepcond.linalg import numerical_rank, subspace_distance
+from crepcond.linalg import complement_basis, numerical_rank, subspace_distance
 from crepcond.tensor import (
     TuckerPoint,
+    _factor_directions,
     flatten,
     horizontal_tangent_basis,
     hosvd,
@@ -306,6 +308,64 @@ def test_mlrank_tangent_blocks_pairwise_orthogonal():
         for j in range(i + 1, len(blocks)):
             if blocks[i].size and blocks[j].size:
                 assert np.linalg.norm(blocks[i].T @ blocks[j], 2) <= 1e-12
+
+
+def per_velocity_images(point, mode, velocities):
+    """Reference: one multilinear product per factor velocity."""
+    cols = []
+    for v in velocities:
+        mats = list(point.factors)
+        mats[mode] = v
+        cols.append(multilinear_multiply(mats, point.core).ravel())
+    return np.column_stack(cols) if cols else np.zeros((point.product.size, 0))
+
+
+@pytest.mark.parametrize(
+    "shape, ranks, seed",
+    [((5, 3, 4), (2, 3, 2), 18), ((4, 3, 3, 2), (2, 2, 2, 2), 19)],
+)
+def test_factor_directions_match_per_velocity_products(shape, ranks, seed):
+    point = random_tucker_point(shape, ranks, seed)
+    blocks = mlrank_tangent_blocks(point)
+    for d, (n, m) in enumerate(zip(shape, ranks)):
+        units = []
+        for idx in range(n * m):
+            e = np.zeros((n, m))
+            e.flat[idx] = 1.0
+            units.append(e)
+        got = _factor_directions(point.factors, point.core, d, np.eye(n))
+        assert got.shape == (point.product.size, n * m)
+        np.testing.assert_allclose(got, per_velocity_images(point, d, units), rtol=0, atol=1e-14)
+        # horizontal velocities, in the column order of horizontal_tangent_basis
+        horiz = horizontal_tangent_basis(point.factors[d])
+        expected = per_velocity_images(point, d, [col.reshape(n, m) for col in horiz.T])
+        got = _factor_directions(point.factors, point.core, d, complement_basis(point.factors[d]))
+        assert got.shape == expected.shape == (point.product.size, (n - m) * m)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(blocks[d + 1], expected, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n, m, seed", [(5, 3, 20), (3, 3, 21), (6, 4, 22)])
+def test_stiefel_bases_match_column_construction(n, m, seed):
+    u = random_stiefel(seed, n, m)
+    perp = complement_basis(u)
+    horiz = []
+    for k in range(perp.shape[1]):
+        for l in range(m):
+            v = np.zeros((n, m))
+            v[:, l] = perp[:, k]
+            horiz.append(v.ravel())
+    skew = []
+    for j in range(m):
+        for i in range(j):
+            v = np.zeros((n, m))
+            v[:, j] = u[:, i] * (1.0 / math.sqrt(2.0))
+            v[:, i] = -u[:, j] * (1.0 / math.sqrt(2.0))
+            skew.append(v.ravel())
+    horiz = np.array(horiz).reshape(-1, n * m).T
+    skew = np.array(skew).reshape(-1, n * m).T
+    np.testing.assert_array_equal(horizontal_tangent_basis(u), horiz)
+    np.testing.assert_array_equal(stiefel_tangent_basis(u), np.hstack([skew, horiz]))
 
 
 # ---------------------------------------------------------------------------

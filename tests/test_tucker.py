@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from crepcond.crep import (
     solution_map_derivative,
 )
 from crepcond.linalg import numerical_rank
+from crepcond.problems import matrix_factorization_problem
 from crepcond.tensor import TuckerPoint, flatten
 from crepcond.tucker import (
     TuckerCrepConfig,
@@ -247,3 +251,41 @@ def test_core_output_near_degenerate_gap_pipeline_vs_minnorm():
         solution_map_derivative(blocks)
     dh = solution_map_derivative_minnorm(blocks)
     assert spectral_norm(dh) == pytest.approx(1.0, rel=1e-8)
+
+
+def test_condition_numbers_thread_safe_with_shared_problem():
+    cases = [
+        build_tucker_crep(TuckerCrepConfig(random_tucker_point((5, 4, 3), (2, 2, 2), 91 + i), var))
+        for i, var in enumerate(["core", 0, 1, 2])
+    ]
+    tasks = [cases[0]] + cases  # the first problem object runs in two workers at once
+    serial = [condition_numbers(problem, pt, n_samples=2, seed=92) for problem, pt in tasks]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(condition_numbers, problem, pt, n_samples=2, seed=92) for problem, pt in tasks]
+            parallel = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for a, b in zip(serial, parallel):
+        assert a.certificate.passed
+        assert (a.kappa_y, a.kappa_z, a.kappa_yz) == (b.kappa_y, b.kappa_z, b.kappa_yz)
+        np.testing.assert_array_equal(a.dh, b.dh)
+        assert a.certificate == b.certificate
+
+
+def test_identity_input_jacobian_is_shared_and_read_only():
+    cases = [
+        build_tucker_crep(TuckerCrepConfig(random_tucker_point((4, 3, 2), (2, 2, 2), 93), 1)),
+        matrix_factorization_problem(4, 3, 2, seed=94),
+    ]
+    for problem, pt in cases:
+        j_x = problem.jacobian(pt.x, pt.y, pt.z)[0]
+        np.testing.assert_array_equal(j_x, np.eye(pt.x.size))
+        assert not j_x.flags.writeable
+        assert problem.jacobian(pt.x, pt.y, pt.z)[0] is j_x
+    # problems of one residual size hold one identity between them
+    first, first_pt = cases[0]
+    other, pt = build_tucker_crep(TuckerCrepConfig(random_tucker_point((4, 3, 2), (2, 2, 2), 95), "core"))
+    assert other.jacobian(pt.x, pt.y, pt.z)[0] is first.jacobian(first_pt.x, first_pt.y, first_pt.z)[0]
