@@ -114,18 +114,18 @@ def write_report(report: dict, path) -> None:
 
 
 def _resolve_rtol(args) -> float | None:
-    if args.rtol is not None:
-        return args.rtol
-    env = os.environ.get("CREPCOND_RTOL")
-    if env:
-        try:
-            value = float(env)
-        except ValueError:
-            raise SpecError(f"environment variable CREPCOND_RTOL is not a number: {env!r}")
-        if value <= 0:
-            raise SpecError(f"environment variable CREPCOND_RTOL must be positive, got {env!r}")
-        return value
-    return None
+    source, value = "--rtol", args.rtol
+    if value is None:
+        source, value = "environment variable CREPCOND_RTOL", os.environ.get("CREPCOND_RTOL")
+        if not value:
+            return None
+    try:
+        rtol = float(value)
+        if not (math.isfinite(rtol) and rtol > 0):
+            raise ValueError(rtol)
+    except ValueError:
+        raise SpecError(f"{source} must be a finite positive number, got {value!r}") from None
+    return rtol
 
 
 def _parse_empirical(text: str) -> tuple[int, float]:

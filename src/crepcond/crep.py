@@ -40,11 +40,12 @@ from typing import Callable
 import numpy as np
 
 from .linalg import (
+    _solve,
+    _svd,
     as_matrix,
     complement_basis,
     default_rtol,
     kernel_basis,
-    min_norm_solve,
     numerical_rank,
     orthonormalize,
     spectral_norm,
@@ -96,7 +97,7 @@ class TangentChart:
         b = as_matrix(self.basis, "basis")
         if b.shape[0] != self.ambient_dim:
             raise ValueError(f"basis has {b.shape[0]} rows, ambient dimension is {self.ambient_dim}")
-        if b.size and np.linalg.norm(b.T @ b - np.eye(b.shape[1]), 2) > 1e-10:
+        if spectral_norm(b.T @ b - np.eye(b.shape[1])) > 1e-10:
             raise ValueError("chart basis does not have orthonormal columns")
         object.__setattr__(self, "basis", b)
 
@@ -288,15 +289,15 @@ def solution_map_derivative(blocks: JacobianBlocks, rtol: float | None = None) -
         return np.zeros((0, dim_x))
     q, u_y = _elimination_bases(blocks, rtol)
     a = np.vstack([q.T @ j_y, u_y.T])
-    decision = numerical_rank(a, rtol)
-    if decision.rank < dim_y:
+    f = _svd(a, rtol)
+    if f.rank < dim_y:
         raise RankHypothesisError(
-            f"elimination system is rank deficient ({decision.rank} < {dim_y}); "
+            f"elimination system is rank deficient ({f.rank} < {dim_y}); "
             "the constant-rank hypotheses do not hold at this point"
         )
     rhs = np.vstack([-(q.T @ j_x), np.zeros((u_y.shape[1], dim_x))])
     scale = spectral_norm(j_x) + spectral_norm(j_y) + spectral_norm(j_z)
-    return min_norm_solve(a, rhs, rtol, scale=scale)
+    return _solve(a, f, rhs, scale)
 
 
 def _minnorm_derivatives(
@@ -312,12 +313,13 @@ def _minnorm_derivatives(
     j_x, j_y, j_z = blocks.j_x, blocks.j_y, blocks.j_z
     dim_y = j_y.shape[1]
     j_yz = np.hstack([j_y, j_z])
-    scale = spectral_norm(j_x) + spectral_norm(j_yz)
+    # One SVD serves the scale, the solve and the kernel (full vh when wide).
+    f = _svd(j_yz, rtol, full=j_yz.shape[0] < j_yz.shape[1])
     try:
-        dh_yz = min_norm_solve(j_yz, -j_x, rtol, scale=scale)
+        dh_yz = _solve(j_yz, f, -j_x, spectral_norm(j_x) + f.norm)
     except ValueError as exc:
         raise RankHypothesisError(f"linearised system is inconsistent: {exc}") from exc
-    kern = kernel_basis(j_yz, rtol)
+    kern = f.vh[f.rank :].T
 
     def project_off_kernel(part, kern_rows):
         b = orthonormalize(kern_rows, rtol)
@@ -355,15 +357,14 @@ def fcre_solution_derivative(j_x, j_y, rtol: float | None = None) -> np.ndarray:
     j_y = as_matrix(j_y, "j_y")
     if j_x.shape[0] != j_y.shape[0]:
         raise ValueError("j_x and j_y must share the residual dimension")
-    rank_y = numerical_rank(j_y, rtol).rank
+    f = _svd(j_y, rtol)
     rank_all = numerical_rank(np.hstack([j_x, j_y]), rtol).rank
-    if rank_all != rank_y:
+    if rank_all != f.rank:
         raise RankHypothesisError(
-            f"rank [j_x j_y] = {rank_all} differs from rank j_y = {rank_y}; "
+            f"rank [j_x j_y] = {rank_all} differs from rank j_y = {f.rank}; "
             "the system is not feasible for all input directions"
         )
-    scale = spectral_norm(j_x) + spectral_norm(j_y)
-    return min_norm_solve(j_y, -j_x, rtol, scale=scale)
+    return _solve(j_y, f, -j_x, spectral_norm(j_x) + f.norm)
 
 
 def defining_equation_residuals(blocks: JacobianBlocks, dh, rtol: float | None = None) -> tuple[float, float, float]:

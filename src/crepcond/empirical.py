@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crep import CrepPoint, CrepProblem, evaluate_blocks, solution_map_derivative_minnorm
-from .linalg import kernel_basis, orthonormalize
+from .linalg import _svd, kernel_basis, orthonormalize
 
 __all__ = [
     "EmpiricalEstimate",
@@ -290,8 +290,7 @@ def empirical_condition(
             norm = float(np.linalg.norm(u))
         directions.append(u / norm)
     if dh.size:
-        _, _, vh = np.linalg.svd(dh, full_matrices=False)
-        directions.append(vh[0])
+        directions.append(_svd(dh).vh[0])
 
     max_ratio = 0.0
     n_failed = 0

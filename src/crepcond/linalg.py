@@ -1,11 +1,11 @@
 """Dense linear-algebra kernels: rank decisions, orthonormal subspace bases,
 minimum-norm solves, and spectral norms.
 
-Every subspace computation here is backed by one primitive, the singular
-value decomposition, so that rank decisions stay consistent across
-operations.  Rank tolerances are always explicit and every decision records
-the absolute threshold it used, which lets downstream rank certificates be
-audited after the fact.
+Every SVD in the package is taken by one private helper, :func:`_svd`, with
+its rank cut, so rank decisions stay consistent; other modules must not call
+``np.linalg.svd``.  Rank tolerances are explicit, finite and positive, and
+every decision records the absolute threshold it used, which lets downstream
+rank certificates be audited after the fact.
 
 Matrices with zero rows or columns are first-class inputs everywhere (they
 show up naturally as trivial kernels and empty latent spaces) and produce
@@ -20,6 +20,7 @@ from __future__ import annotations
 import threading
 import weakref
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,9 +76,34 @@ def _resolve_rtol(rtol: float | None, shape: tuple[int, int]) -> float:
     if rtol is None:
         return default_rtol(shape)
     rtol = float(rtol)
-    if rtol <= 0.0:
-        raise ValueError(f"rtol must be positive, got {rtol}")
+    if not (np.isfinite(rtol) and rtol > 0.0):
+        raise ValueError(f"rtol must be finite and positive, got {rtol}")
     return rtol
+
+
+class _Svd(NamedTuple):
+    """An SVD and its rank cut: ``rank = #{s > tol}``, ``tol = rtol * norm``, ``norm = sigma_max``."""
+
+    u: np.ndarray | None
+    s: np.ndarray
+    vh: np.ndarray | None
+    rank: int
+    tol: float
+    norm: float
+    rtol: float
+
+
+def _svd(m, rtol: float | None = None, *, full: bool = False, uv: bool = True) -> _Svd:
+    """The package's one SVD call, with its rank cut; ``uv=False`` leaves ``u`` and ``vh`` None."""
+    m = as_matrix(m)
+    rtol = _resolve_rtol(rtol, m.shape)
+    if uv:
+        u, s, vh = np.linalg.svd(m, full_matrices=full)
+    else:
+        u, s, vh = None, np.linalg.svd(m, compute_uv=False), None
+    norm = float(s[0]) if s.size else 0.0
+    tol = rtol * norm
+    return _Svd(u, s, vh, int(np.count_nonzero(s > tol)), tol, norm, rtol)
 
 
 @dataclass(frozen=True)
@@ -112,14 +138,8 @@ def numerical_rank(m, rtol: float | None = None) -> RankDecision:
 
     Matrices with zero rows or columns have rank 0.
     """
-    m = as_matrix(m)
-    rtol = _resolve_rtol(rtol, m.shape)
-    if min(m.shape) == 0:
-        return RankDecision(rank=0, singular_values=np.zeros(0), tolerance_used=0.0)
-    s = np.linalg.svd(m, compute_uv=False)
-    tol = rtol * float(s[0])
-    rank = int(np.count_nonzero(s > tol))
-    return RankDecision(rank=rank, singular_values=s, tolerance_used=tol)
+    f = _svd(m, rtol, uv=False)
+    return RankDecision(rank=f.rank, singular_values=f.s, tolerance_used=f.tol)
 
 
 def kernel_basis(m, rtol: float | None = None) -> np.ndarray:
@@ -128,15 +148,9 @@ def kernel_basis(m, rtol: float | None = None) -> np.ndarray:
     The result has ``cols(m) - numerical_rank(m)`` columns (possibly zero).
     """
     m = as_matrix(m)
-    rtol = _resolve_rtol(rtol, m.shape)
-    n = m.shape[1]
-    if m.shape[0] == 0 or n == 0:
-        return np.eye(n)
     # A thin SVD of a tall or square matrix already returns the full n x n vh.
-    _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < n)
-    tol = rtol * float(s[0]) if s.size else 0.0
-    rank = int(np.count_nonzero(s > tol))
-    return vh[rank:].T
+    f = _svd(m, rtol, full=m.shape[0] < m.shape[1])
+    return f.vh[f.rank :].T
 
 
 def complement_basis(m, rtol: float | None = None) -> np.ndarray:
@@ -145,35 +159,19 @@ def complement_basis(m, rtol: float | None = None) -> np.ndarray:
     The result has ``rows(m) - numerical_rank(m)`` columns; for a matrix
     with zero columns that is a full orthonormal basis of the row space.
     """
-    m = as_matrix(m)
-    rtol = _resolve_rtol(rtol, m.shape)
-    rows = m.shape[0]
-    if rows == 0 or m.shape[1] == 0:
-        return np.eye(rows)
-    u, s, _ = np.linalg.svd(m, full_matrices=True)
-    tol = rtol * float(s[0]) if s.size else 0.0
-    rank = int(np.count_nonzero(s > tol))
-    return u[:, rank:]
+    f = _svd(m, rtol, full=True)
+    return f.u[:, f.rank :]
 
 
 def orthonormalize(m, rtol: float | None = None) -> np.ndarray:
     """Orthonormal columns spanning the numerical column space of ``m``."""
-    m = as_matrix(m)
-    rtol = _resolve_rtol(rtol, m.shape)
-    if min(m.shape) == 0:
-        return np.zeros((m.shape[0], 0))
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    tol = rtol * float(s[0]) if s.size else 0.0
-    rank = int(np.count_nonzero(s > tol))
-    return u[:, :rank]
+    f = _svd(m, rtol)
+    return f.u[:, : f.rank]
 
 
 def spectral_norm(m) -> float:
     """Largest singular value of ``m``; 0 for empty matrices."""
-    m = as_matrix(m)
-    if min(m.shape) == 0:
-        return 0.0
-    return float(np.linalg.svd(m, compute_uv=False)[0])
+    return _svd(m, uv=False).norm
 
 
 def min_norm_solve(a, b, rtol: float | None = None, *, scale: float = 0.0) -> np.ndarray:
@@ -205,28 +203,24 @@ def min_norm_solve(a, b, rtol: float | None = None, *, scale: float = 0.0) -> np
     b = as_matrix(b[:, None] if vector_rhs else b, "b")
     if b.shape[0] != a.shape[0]:
         raise ValueError(f"shape mismatch: a is {a.shape}, b is {b.shape}")
-    rtol = _resolve_rtol(rtol, a.shape)
+    x = _solve(a, _svd(a, rtol), b, scale)
+    return x[:, 0] if vector_rhs else x
 
-    if min(a.shape) == 0:
-        x = np.zeros((a.shape[1], b.shape[1]))
-        a_norm = 0.0
-    else:
-        u, s, vh = np.linalg.svd(a, full_matrices=False)
-        a_norm = float(s[0])
-        tol = rtol * a_norm
-        rank = int(np.count_nonzero(s > tol))
-        x = vh[:rank].T @ ((u[:, :rank].T @ b) / s[:rank, None])
 
+def _solve(a: np.ndarray, f: _Svd, b: np.ndarray, scale: float) -> np.ndarray:
+    """Minimum-norm solution of ``a @ x = b`` from the factorization ``f`` of
+    ``a``, with the consistency check documented in :func:`min_norm_solve`."""
+    x = f.vh[: f.rank].T @ ((f.u[:, : f.rank].T @ b) / f.s[: f.rank, None])
     residual = a @ x - b
     for j in range(b.shape[1]):
         res_j = float(np.linalg.norm(residual[:, j]))
-        bound = rtol * (a_norm * float(np.linalg.norm(x[:, j])) + float(np.linalg.norm(b[:, j])) + scale)
+        bound = f.rtol * (f.norm * float(np.linalg.norm(x[:, j])) + float(np.linalg.norm(b[:, j])) + scale)
         if res_j > bound:
             raise InconsistentSystemError(
                 f"column {j}: least-squares residual {res_j:.3e} exceeds {bound:.3e}; "
                 "the system a @ x = b is not consistent at this tolerance"
             )
-    return x[:, 0] if vector_rhs else x
+    return x
 
 
 def subspace_distance(b1, b2) -> float:

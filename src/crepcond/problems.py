@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .crep import CrepDims, CrepPoint, CrepProblem, JacobianBlocks, TangentChart, make_crep_point
-from .linalg import _shared_identity, as_matrix, orthonormalize, spectral_norm
+from .linalg import _shared_identity, _svd, as_matrix, orthonormalize, spectral_norm
 from .tensor import load_tensor, multilinear_rank, hosvd, tensor_from_obj
 from .tucker import TuckerCrepConfig, build_tucker_crep
 
@@ -129,8 +129,8 @@ def matrix_factorization_problem(m: int, n: int, k_rank: int, seed: int = 0) -> 
         return TangentChart(m * n, basis)
 
     def x_retract(x, dx):
-        u, s, vh = np.linalg.svd((x + dx).reshape(m, n), full_matrices=False)
-        return (u[:, :k_rank] * s[:k_rank]) @ vh[:k_rank]
+        f = _svd((x + dx).reshape(m, n))
+        return (f.u[:, :k_rank] * f.s[:k_rank]) @ f.vh[:k_rank]
 
     def x_retract_vec(x, dx):
         return x_retract(x, dx).ravel()
@@ -184,12 +184,12 @@ def linearized_problem(j_x, j_y, j_z, name: str = "custom_linearized") -> tuple[
 def _conditioned(rng, rows: int, cols: int, smin: float = 0.3, smax: float = 3.0) -> np.ndarray:
     """Random matrix with singular values rescaled into ``[smin, smax]``."""
     a = rng.standard_normal((rows, cols))
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0:
+    f = _svd(a)
+    if f.s.size == 0:
         return a
-    lo, hi = float(s[-1]), float(s[0])
-    s = np.linspace(smax, smin, s.size) if hi == lo else smin + (s - lo) * (smax - smin) / (hi - lo)
-    return (u * s) @ vh
+    lo, hi = float(f.s[-1]), f.norm
+    s = np.linspace(smax, smin, f.s.size) if hi == lo else smin + (f.s - lo) * (smax - smin) / (hi - lo)
+    return (f.u * s) @ f.vh
 
 def random_linearized_blocks(seed, max_dim: int = 12, deficient: bool | None = None) -> JacobianBlocks:
     """Seeded random chart-coordinate blocks of a consistent linear problem.

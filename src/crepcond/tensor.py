@@ -30,11 +30,12 @@ from pathlib import Path
 import numpy as np
 
 from .linalg import (
+    _svd,
     as_matrix,
     complement_basis,
-    default_rtol,
     numerical_rank,
     orthonormalize,
+    spectral_norm,
 )
 
 __all__ = [
@@ -152,7 +153,7 @@ class TuckerPoint:
         for d, u in enumerate(factors):
             if u.shape[1] != core.shape[d]:
                 raise ValueError(f"factors[{d}] has {u.shape[1]} columns, core mode {d} is {core.shape[d]}")
-            if u.size and np.linalg.norm(u.T @ u - np.eye(u.shape[1]), 2) > 1e-12:
+            if spectral_norm(u.T @ u - np.eye(u.shape[1])) > 1e-12:
                 raise ValueError(f"factors[{d}] does not have orthonormal columns")
         product = self.product
         if product is None:
@@ -200,14 +201,12 @@ def hosvd(t, ranks, rtol: float | None = None) -> TuckerPoint:
         mat = flatten(t, d)
         if r < 0 or r > min(mat.shape):
             raise ValueError(f"ranks[{d}]={r} exceeds the flattening shape {mat.shape}")
-        u, s, _ = np.linalg.svd(mat, full_matrices=False)
-        tol = (rtol if rtol is not None else default_rtol(mat.shape)) * (float(s[0]) if s.size else 0.0)
-        available = int(np.count_nonzero(s > tol))
-        if r > available:
+        f = _svd(mat, rtol)
+        if r > f.rank:
             raise ValueError(
-                f"requested rank {r} in mode {d} exceeds the numerical multilinear rank {available}"
+                f"requested rank {r} in mode {d} exceeds the numerical multilinear rank {f.rank}"
             )
-        factors.append(u[:, :r])
+        factors.append(f.u[:, :r])
     core = multilinear_multiply([u.T for u in factors], t)
     product = multilinear_multiply(factors, core)
     return TuckerPoint(core=core, factors=tuple(factors), product=product)
@@ -256,7 +255,7 @@ def _check_orthonormal(u) -> np.ndarray:
     u = as_matrix(u, "u")
     if u.shape[1] > u.shape[0]:
         raise ValueError(f"{u.shape} has more columns than rows")
-    if u.size and np.linalg.norm(u.T @ u - np.eye(u.shape[1]), 2) > 1e-10:
+    if spectral_norm(u.T @ u - np.eye(u.shape[1])) > 1e-10:
         raise ValueError("matrix does not have orthonormal columns")
     return u
 

@@ -31,7 +31,7 @@ from .crep import (
     condition_numbers,
     make_crep_point,
 )
-from .linalg import _shared_identity, default_rtol
+from .linalg import _shared_identity, _svd
 from .tensor import (
     TuckerPoint,
     _factor_directions,
@@ -85,8 +85,8 @@ def variable_label(var: int | str) -> str:
 
 
 def _polar_retract(m: np.ndarray) -> np.ndarray:
-    u, _, vh = np.linalg.svd(m, full_matrices=False)
-    return u @ vh
+    f = _svd(m)
+    return f.u @ f.vh
 
 
 def _block_diag(blocks: list[np.ndarray]) -> np.ndarray:
@@ -220,16 +220,13 @@ def closed_form_kappa_factor(core, mode: int, n_rows: int, rtol: float | None = 
         raise ValueError(f"factor must have at least {m_d} rows, got {n_rows}")
     if n_rows == m_d:
         return 0.0
-    mat = flatten(core, mode)
-    s = np.linalg.svd(mat, compute_uv=False)
-    floor = (rtol if rtol is not None else default_rtol(mat.shape)) * (float(s[0]) if s.size else 0.0)
-    sigma_min = float(s[m_d - 1]) if s.size >= m_d else 0.0
-    if sigma_min <= floor:
+    f = _svd(flatten(core, mode), rtol, uv=False)
+    if f.rank < m_d:
         raise RankHypothesisError(
-            f"mode-{mode} core flattening has sigma_min {sigma_min:.3e} at the tolerance floor; "
+            f"mode-{mode} core flattening has numerical rank {f.rank} < {m_d} at tolerance {f.tol:.3e}; "
             "the core is not of full multilinear rank"
         )
-    return 1.0 / sigma_min
+    return 1.0 / float(f.s[m_d - 1])
 
 
 def closed_form_kappa_core() -> float:
@@ -358,7 +355,7 @@ def random_tucker_point(shape, ranks, seed, min_core_sigma: float = 0.1, max_tri
     for _ in range(max_tries):
         core = rng.standard_normal(ranks)
         smallest = min(
-            float(np.linalg.svd(flatten(core, d), compute_uv=False)[ranks[d] - 1])
+            float(_svd(flatten(core, d), uv=False).s[ranks[d] - 1])
             for d in range(len(ranks))
         )
         if smallest >= min_core_sigma:

@@ -98,8 +98,8 @@ def check_kernel_complement(seed=0, trials=40) -> CheckResult:
             worst,
             spectral_norm(m @ k) / (10.0 * rtol * norm_m),
             spectral_norm(q.T @ m) / (10.0 * rtol * norm_m),
-            float(np.linalg.norm(k.T @ k - np.eye(k.shape[1]), 2)) / 1e-12 if k.size else 0.0,
-            float(np.linalg.norm(q.T @ q - np.eye(q.shape[1]), 2)) / 1e-12 if q.size else 0.0,
+            spectral_norm(k.T @ k - np.eye(k.shape[1])) / 1e-12,
+            spectral_norm(q.T @ q - np.eye(q.shape[1])) / 1e-12,
         )
     return _result("kernel/complement basis invariants", worst, 1.0, f"{trials} random matrices, worst ratio to bound")
 

@@ -137,6 +137,16 @@ def test_rtol_env_override(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("CREPCOND_RTOL", "not-a-number")
     assert main(["analyze", str(spec)]) == 1
     capsys.readouterr()
+    tensor = tmp_path / "t.json"
+    save_tensor(random_tucker_point((4, 3), (2, 2), 85).product, tensor)
+    commands = (["analyze", str(spec)], ["tucker", str(tensor), "--ranks", "2,2"])
+    for bad in ("nan", "inf", "0", "-1"):
+        for command in commands:
+            for env, args in ((bad, command), ("", [*command, "--rtol", bad])):
+                monkeypatch.setenv("CREPCOND_RTOL", env)
+                assert main(args) == 1
+                err = capsys.readouterr().err
+                assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_tucker_command_table_and_cross_validation(tmp_path, capsys):

@@ -339,6 +339,29 @@ def test_kappa_stage_allocates_nothing_of_residual_size_squared():
     assert peak < n_res**2 * 8
 
 
+@pytest.mark.parametrize("case", ["tucker_tall", "linearized_wide"])
+def test_kappa_stage_factors_jyz_once(case, monkeypatch):
+    if case == "tucker_tall":
+        point = random_tucker_point((5, 3, 4), (2, 3, 2), 0)
+        blocks = evaluate_blocks(*build_tucker_crep(TuckerCrepConfig(point, 0)))
+    else:
+        blocks = random_linearized_blocks(1)
+    shape = (blocks.n_residual, blocks.j_y.shape[1] + blocks.j_z.shape[1])
+    # No other matrix factored in the kappa stage has this shape: (60, 27)
+    # for the Tucker instance, (7, 22) for the wide linearized one.
+    assert shape in ((60, 27), (7, 22))
+    shapes = []
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    condition_numbers_from_blocks(blocks)
+    assert shapes.count(shape) == 1
+
+
 def test_z_chart_invariance():
     rng = np.random.default_rng(26)
     for i in range(20):

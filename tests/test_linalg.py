@@ -1,8 +1,11 @@
+import ast
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import crepcond
 from crepcond.linalg import (
     InconsistentSystemError,
     complement_basis,
@@ -14,6 +17,8 @@ from crepcond.linalg import (
     spectral_norm,
     subspace_distance,
 )
+from crepcond.tensor import hosvd
+from crepcond.tucker import closed_form_kappa_factor
 
 SQRT2 = np.sqrt(2.0)
 
@@ -262,8 +267,58 @@ def test_empty_matrices_flow_through():
         assert orthonormalize(m).shape == (shape[0], 0)
         x = min_norm_solve(m, np.zeros((shape[0], 2)))
         assert x.shape == (shape[1], 2)
+        assert spectral_norm(m) == 0
+        assert numerical_rank(m).tolerance_used == 0
+        assert np.array_equal(kernel_basis(m), np.eye(shape[1]))
+        assert np.array_equal(complement_basis(m), np.eye(shape[0]))
 
 
 def test_default_rtol_scales_with_shape():
     assert default_rtol((100, 3)) > default_rtol((5, 3))
     assert default_rtol((0, 0)) > 0
+
+
+@pytest.mark.parametrize("rtol", [np.nan, np.inf, 0.0, -1.0])
+def test_rank_cuts_reject_non_finite_or_non_positive_rtol(rtol):
+    # A NaN cut (sigma > NaN is never true) would give rank 0 silently.
+    rng = np.random.default_rng(7)
+    with pytest.raises(ValueError, match="rtol"):
+        numerical_rank(np.eye(2), rtol)
+    with pytest.raises(ValueError, match="rtol"):
+        min_norm_solve(np.eye(2), np.ones(2), rtol)
+    with pytest.raises(ValueError, match="rtol"):
+        hosvd(rng.standard_normal((3, 4, 2)), (2, 2, 2), rtol)
+    with pytest.raises(ValueError, match="rtol"):
+        closed_form_kappa_factor(np.diag([1.0, 1e-20]), 0, 3, rtol)
+
+
+def _calls(tree, attr):
+    """Calls of ``np.linalg.<attr>`` (or ``numpy.linalg.<attr>``) in ``tree``."""
+    for node in ast.walk(tree):
+        func = getattr(node, "func", None)
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(func, ast.Attribute)
+            and func.attr == attr
+            and isinstance(func.value, ast.Attribute)
+            and func.value.attr == "linalg"
+        ):
+            yield node
+
+
+def test_svd_has_one_entry_point():
+    """Every SVD in the package goes through ``linalg._svd`` (spectral norms
+    through ``spectral_norm``), so rank cuts and SVD counts live in one place."""
+    offenders = []
+    for path in sorted(Path(crepcond.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        if path.name == "linalg.py":
+            helper = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_svd")
+            allowed = {id(n) for n in _calls(helper, "svd")}
+        offenders += [f"{path.name}:{n.lineno} svd" for n in _calls(tree, "svd") if id(n) not in allowed]
+        for n in _calls(tree, "norm"):
+            order = n.args[1] if len(n.args) > 1 else next((k.value for k in n.keywords if k.arg == "ord"), None)
+            if isinstance(order, ast.Constant) and order.value == 2:
+                offenders.append(f"{path.name}:{n.lineno} norm(., 2)")
+    assert not offenders
