@@ -135,8 +135,8 @@ def _parse_empirical(text: str) -> tuple[int, float]:
         radius = float(radius_text)
     except ValueError:
         raise SpecError(f"--empirical expects N:RADIUS, got {text!r}")
-    if n < 1 or radius <= 0:
-        raise SpecError(f"--empirical expects N >= 1 and RADIUS > 0, got {text!r}")
+    if n < 1 or not (math.isfinite(radius) and radius > 0):
+        raise SpecError(f"--empirical expects N >= 1 and a finite RADIUS > 0, got {text!r}")
     return n, radius
 
 
@@ -264,8 +264,14 @@ def cmd_verify(args) -> int:
     return EXIT_OK if n_failed == 0 else EXIT_CERTIFICATE
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse would exit 2, the failed-certificate status
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="crepcond",
         description="Condition numbers of constant-rank elimination problems.",
     )

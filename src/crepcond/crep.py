@@ -34,14 +34,19 @@ defaults to orthonormal but whose choice provably does not affect ``DH``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from contextvars import ContextVar
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from .linalg import (
+    _is_orthonormal,
+    _recut,
     _solve,
     _svd,
+    _Svd,
+    RankDecision,
     as_matrix,
     complement_basis,
     default_rtol,
@@ -73,6 +78,9 @@ __all__ = [
     "solution_map_derivative_minnorm",
 ]
 
+# Collects the reference blocks of the certify_crep call condition_numbers makes.
+_REFERENCE_BLOCKS: ContextVar[list | None] = ContextVar("_REFERENCE_BLOCKS", default=None)
+
 
 class RankHypothesisError(ValueError):
     """A constant-rank hypothesis required by the computation is violated."""
@@ -97,7 +105,7 @@ class TangentChart:
         b = as_matrix(self.basis, "basis")
         if b.shape[0] != self.ambient_dim:
             raise ValueError(f"basis has {b.shape[0]} rows, ambient dimension is {self.ambient_dim}")
-        if spectral_norm(b.T @ b - np.eye(b.shape[1])) > 1e-10:
+        if not _is_orthonormal(b, 1e-10):
             raise ValueError("chart basis does not have orthonormal columns")
         object.__setattr__(self, "basis", b)
 
@@ -139,7 +147,10 @@ class CrepProblem:
     and default to flat addition.
 
     Evaluators must be pure (safe for concurrent invocation) and may return
-    shared read-only arrays, which callers must not modify.  ``scale`` is a
+    shared read-only arrays, which callers must not modify.  Each point is
+    evaluated once per call: the kappa stage of :func:`condition_numbers`
+    reuses its certificate's evaluation, and each certificate sample reuses
+    the resolver's last one, adding only the input chart.  ``scale`` is a
     characteristic magnitude of the reference data used to set default
     solver and sampling tolerances.
     """
@@ -192,6 +203,9 @@ class JacobianBlocks:
     j_x: np.ndarray
     j_y: np.ndarray
     j_z: np.ndarray
+    # Private: the input chart basis (set by chart_blocks) and an SVD of [j_y j_z] (see _yz_svd).
+    _x_basis: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _yz: _Svd | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         j_x = as_matrix(self.j_x, "j_x")
@@ -212,27 +226,24 @@ class JacobianBlocks:
         return JacobianBlocks(j_x=self.j_x, j_y=self.j_z, j_z=self.j_y)
 
 
+def _project(problem: CrepProblem, mat, chart: TangentChart, label: str) -> np.ndarray:
+    """Ambient Jacobian block ``mat`` of variable ``label`` in chart coordinates, after the
+    checks every block gets: finite entries, ambient shape and declared chart dimension."""
+    mat = as_matrix(mat, f"ambient jacobian ({label})")
+    if mat.shape != (problem.dims.n_residual, chart.ambient_dim):
+        raise ValueError(f"ambient jacobian ({label}) has shape {mat.shape}, expected "
+                         f"({problem.dims.n_residual}, {chart.ambient_dim})")
+    if chart.dim != problem.dims["xyz".index(label)]:
+        raise ValueError(f"{label} chart has dimension {chart.dim}, declared dims are {tuple(problem.dims)}")
+    return mat @ chart.basis
+
+
 def chart_blocks(problem: CrepProblem, x, y, z) -> JacobianBlocks:
     """Ambient Jacobians at ``(x, y, z)`` projected into chart coordinates."""
     ambient = problem.jacobian(x, y, z)
-    cx = problem.x_chart(x, y, z)
-    cy = problem.y_chart(x, y, z)
-    cz = problem.z_chart(x, y, z)
-    projected = []
-    for mat, chart, label in zip(ambient, (cx, cy, cz), "xyz"):
-        mat = as_matrix(mat, f"ambient jacobian ({label})")
-        if mat.shape != (problem.dims.n_residual, chart.ambient_dim):
-            raise ValueError(
-                f"ambient jacobian ({label}) has shape {mat.shape}, expected "
-                f"({problem.dims.n_residual}, {chart.ambient_dim})"
-            )
-        projected.append(mat @ chart.basis)
-    blocks = JacobianBlocks(j_x=projected[0], j_y=projected[1], j_z=projected[2])
-    expect = (problem.dims.dim_x, problem.dims.dim_y, problem.dims.dim_z)
-    got = (blocks.j_x.shape[1], blocks.j_y.shape[1], blocks.j_z.shape[1])
-    if got != expect:
-        raise ValueError(f"chart dimensions {got} do not match declared dims {expect}")
-    return blocks
+    charts = (problem.x_chart(x, y, z), problem.y_chart(x, y, z), problem.z_chart(x, y, z))
+    j_x, j_y, j_z = (_project(problem, m, c, label) for m, c, label in zip(ambient, charts, "xyz"))
+    return JacobianBlocks(j_x=j_x, j_y=j_y, j_z=j_z, _x_basis=charts[0].basis)
 
 
 def evaluate_blocks(problem: CrepProblem, point: CrepPoint) -> JacobianBlocks:
@@ -300,6 +311,14 @@ def solution_map_derivative(blocks: JacobianBlocks, rtol: float | None = None) -
     return _solve(a, f, rhs, scale)
 
 
+def _yz_svd(blocks: JacobianBlocks, rtol: float | None) -> _Svd:
+    """The SVD of ``[j_y  j_z]`` (full ``vh`` when wide) cut at ``rtol``: the one that
+    certify_crep put on ``blocks`` (a sample's lacks the vectors), else a new one."""
+    shape = (blocks.n_residual, blocks.j_y.shape[1] + blocks.j_z.shape[1])
+    f = blocks._yz if blocks._yz is not None else _svd(np.hstack([blocks.j_y, blocks.j_z]), full=shape[0] < shape[1])
+    return _recut(f, rtol, shape)
+
+
 def _minnorm_derivatives(
     blocks: JacobianBlocks, rtol: float | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -312,11 +331,10 @@ def _minnorm_derivatives(
     """
     j_x, j_y, j_z = blocks.j_x, blocks.j_y, blocks.j_z
     dim_y = j_y.shape[1]
-    j_yz = np.hstack([j_y, j_z])
-    # One SVD serves the scale, the solve and the kernel (full vh when wide).
-    f = _svd(j_yz, rtol, full=j_yz.shape[0] < j_yz.shape[1])
+    # One SVD serves the scale, the solve and the kernel.
+    f = _yz_svd(blocks, rtol)
     try:
-        dh_yz = _solve(j_yz, f, -j_x, spectral_norm(j_x) + f.norm)
+        dh_yz = _solve(np.hstack([j_y, j_z]), f, -j_x, spectral_norm(j_x) + f.norm)
     except ValueError as exc:
         raise RankHypothesisError(f"linearised system is inconsistent: {exc}") from exc
     kern = f.vh[f.rank :].T
@@ -410,11 +428,16 @@ class RankCertificate:
     messages: tuple[str, ...] = ()
 
 
+def _unit_direction(seed, i: int, dim: int) -> np.ndarray:
+    """Unit vector drawn from the stream ``(seed, i)``; empty when ``dim`` is 0."""
+    u = np.random.default_rng((seed, i)).standard_normal(dim)
+    return u / float(np.linalg.norm(u)) if dim else u
+
+
 def _rank_checks(blocks: JacobianBlocks, dims: CrepDims, rtol: float):
-    df = np.hstack([blocks.j_x, blocks.j_y, blocks.j_z])
-    j_yz = np.hstack([blocks.j_y, blocks.j_z])
-    d_df = numerical_rank(df, rtol)
-    d_yz = numerical_rank(j_yz, rtol)
+    d_df = numerical_rank(np.hstack([blocks.j_x, blocks.j_y, blocks.j_z]), rtol)
+    f_yz = _yz_svd(blocks, rtol)
+    d_yz = RankDecision(rank=f_yz.rank, singular_values=f_yz.s, tolerance_used=f_yz.tol)
     d_z = numerical_rank(blocks.j_z, rtol)
     r = d_yz.rank
     k = d_z.rank
@@ -454,23 +477,19 @@ def certify_crep(
         rtol = default_rtol((dims.n_residual, dims.dim_x + dims.dim_y + dims.dim_z))
 
     blocks0 = evaluate_blocks(problem, point)
+    blocks0 = replace(blocks0, _yz=_yz_svd(blocks0, rtol))  # one SVD, shared with the kappa stage
+    if (sink := _REFERENCE_BLOCKS.get()) is not None:
+        sink.append(blocks0)
     r0, k0, d_df0, nullity0, gap0, messages = _rank_checks(blocks0, dims, rtol)
     min_gap = gap0
     tolerance_abs = max(d_df0.tolerance_used, rtol * 1e-300)  # rtol * sigma_max(DF)
 
     from . import empirical  # deferred: empirical builds on this module
 
-    cx = problem.x_chart(point.x, point.y, point.z)
     samples_checked = 0
     resolve_failures = 0
     for i in range(n_samples):
-        rng = np.random.default_rng((seed, i))
-        direction = rng.standard_normal(dims.dim_x)
-        norm = float(np.linalg.norm(direction))
-        if norm == 0.0:
-            direction = np.ones(dims.dim_x)
-            norm = float(np.linalg.norm(direction))
-        x_pert = problem.x_retract(point.x, cx.basis @ (radius * direction / norm))
+        x_pert = problem.x_retract(point.x, blocks0._x_basis @ (radius * _unit_direction(seed, i, dims.dim_x)))
         result = empirical.constrained_nearest_solution(
             problem, point, x_pert, solver_tol=solver_tol
         )
@@ -478,7 +497,9 @@ def certify_crep(
             resolve_failures += 1
             messages.append(f"sample {i}: re-solve failed ({result.message})")
             continue
-        blocks_i = chart_blocks(problem, x_pert, result.y, result.z)
+        jx_a, j_y, j_z, f_yz = result._evaluation  # the resolver's last evaluation
+        cx = problem.x_chart(x_pert, result.y, result.z)
+        blocks_i = JacobianBlocks(_project(problem, jx_a, cx, "x"), j_y, j_z, _yz=f_yz)
         r_i, k_i, rank_df_i, _, gap_i, problems_i = _rank_checks(blocks_i, dims, rtol)
         min_gap = min(min_gap, gap_i)
         samples_checked += 1
@@ -551,15 +572,20 @@ def condition_numbers(
 ) -> ConditionReport:
     """Certify ``point`` and compute the condition numbers of the problem.
 
-    A pre-computed certificate can be passed to skip re-certification.
-    When certification fails the report carries the failed certificate and
-    ``None`` condition numbers instead of numeric sentinels.
+    A pre-computed certificate skips re-certification, not the evaluation of
+    the point.  When certification fails the report carries the failed
+    certificate and ``None`` condition numbers instead of numeric sentinels.
     """
+    evaluated: list[JacobianBlocks] = []
     if certificate is None:
-        certificate = certify_crep(problem, point, n_samples=n_samples, radius=radius, seed=seed, rtol=rtol)
+        token = _REFERENCE_BLOCKS.set(evaluated)
+        try:
+            certificate = certify_crep(problem, point, n_samples=n_samples, radius=radius, seed=seed, rtol=rtol)
+        finally:
+            _REFERENCE_BLOCKS.reset(token)
     if not certificate.passed:
         return ConditionReport(kappa_y=None, kappa_z=None, kappa_yz=None, dh=None, certificate=certificate)
-    blocks = evaluate_blocks(problem, point)
+    blocks = evaluated[0] if evaluated else evaluate_blocks(problem, point)
     kappa_y, kappa_z, kappa_yz, dh = condition_numbers_from_blocks(blocks, rtol)
     return ConditionReport(
         kappa_y=kappa_y, kappa_z=kappa_z, kappa_yz=kappa_yz, dh=dh, certificate=certificate

@@ -22,12 +22,13 @@ evaluation order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .crep import CrepPoint, CrepProblem, evaluate_blocks, solution_map_derivative_minnorm
-from .linalg import _svd, kernel_basis, orthonormalize
+from .crep import CrepPoint, CrepProblem, _project, _unit_direction, evaluate_blocks, solution_map_derivative_minnorm
+from .linalg import _svd, orthonormalize
 
 __all__ = [
     "EmpiricalEstimate",
@@ -54,6 +55,8 @@ class ResolveResult:
     iterations: int
     converged: bool
     message: str = ""
+    # Private: (ambient j_x, j_y, j_z, SVD of [j_y j_z] without vectors) at (y, z).
+    _evaluation: tuple | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -68,29 +71,28 @@ class EmpiricalEstimate:
 
 
 def _yz_tangent(problem: CrepProblem, x, y, z):
-    """Output/latent chart bases and projected Jacobian blocks at an iterate.
+    """Ambient j_x, output/latent charts and their projected blocks at an iterate.
 
     Unlike :func:`crepcond.crep.chart_blocks` this skips the input chart, so
     it is safe to call at infeasible intermediate iterates.
     """
-    _, jy_a, jz_a = problem.jacobian(x, y, z)
+    jx_a, jy_a, jz_a = problem.jacobian(x, y, z)
     cy = problem.y_chart(x, y, z)
     cz = problem.z_chart(x, y, z)
-    return cy, cz, jy_a @ cy.basis, jz_a @ cz.basis
+    return jx_a, cy, cz, _project(problem, jy_a, cy, "y"), _project(problem, jz_a, cz, "z")
 
 
 def _restore_feasibility(problem, x, y, z, tol, budget):
-    """Damped Gauss-Newton on the residual; returns (y, z, rnorm, used, ok)."""
+    """Damped Gauss-Newton on the residual; returns (y, z, rnorm, used)."""
     r = problem.residual(x, y, z)
     current = float(np.linalg.norm(r))
     used = 0
     while current > tol and used < budget:
-        cy, cz, j_y, j_z = _yz_tangent(problem, x, y, z)
+        _, cy, cz, j_y, j_z = _yz_tangent(problem, x, y, z)
         step, *_ = np.linalg.lstsq(np.hstack([j_y, j_z]), -r, rcond=None)
         dy = cy.basis @ step[: j_y.shape[1]]
         dz = cz.basis @ step[j_y.shape[1] :]
         t = 1.0
-        accepted = False
         for _ in range(30):
             y_t = problem.y_retract(y, t * dy)
             z_t = problem.z_retract(z, t * dz)
@@ -98,13 +100,12 @@ def _restore_feasibility(problem, x, y, z, tol, budget):
             new = float(np.linalg.norm(r_t))
             if new <= (1.0 - 1e-4 * t) * current:
                 y, z, r, current = y_t, z_t, r_t, new
-                accepted = True
                 break
             t *= 0.5
+        else:
+            return y, z, current, used + 1
         used += 1
-        if not accepted:
-            return y, z, current, used, current <= tol
-    return y, z, current, used, current <= tol
+    return y, z, current, used
 
 
 def constrained_nearest_solution(
@@ -146,22 +147,23 @@ def constrained_nearest_solution(
     converged = False
 
     def tangent_state(yv, zv):
-        cy, cz, j_y, j_z = _yz_tangent(problem, x, yv, zv)
-        kern = kernel_basis(np.hstack([j_y, j_z]))
+        jx_a, cy, cz, j_y, j_z = _yz_tangent(problem, x, yv, zv)
+        j_yz = np.hstack([j_y, j_z])
+        f = _svd(j_yz, full=j_yz.shape[0] < j_yz.shape[1])
         e = cy.basis.T @ (yv - y0)
-        b = orthonormalize(kern[:dim_y, :])
+        b = orthonormalize(f.vh[f.rank :, :dim_y].T)
         opt = float(np.linalg.norm(b.T @ e)) if b.size else 0.0
-        return cy, cz, j_y, j_z, e, b, opt
+        return cy, cz, j_y, j_z, e, b, opt, (jx_a, j_y, j_z, f._replace(u=None, vh=None))
 
-    y, z, current, used, _ = _restore_feasibility(problem, x, y, z, restore_tol, max_iter)
+    y, z, current, used = _restore_feasibility(problem, x, y, z, restore_tol, max_iter)
     iters += used
-    if current > solver_tol:
-        return ResolveResult(y=y, z=z, residual_norm=current, iterations=iters, converged=False,
-                             message="feasibility restoration stalled")
+    if not current <= solver_tol:  # also a non-finite residual
+        message = "feasibility restoration stalled" if math.isfinite(current) else "residual is not finite"
+        return ResolveResult(y=y, z=z, residual_norm=current, iterations=iters, converged=False, message=message)
     state = tangent_state(y, z)
 
     for _ in range(max_iter):
-        cy, cz, j_y, j_z, e, b, opt = state
+        cy, cz, j_y, j_z, e, b, opt, _ = state
         if opt <= opt_tol:
             converged = True
             break
@@ -180,23 +182,20 @@ def constrained_nearest_solution(
         dy = -(b @ (b.T @ e))
         dz, *_ = np.linalg.lstsq(j_z, -(j_y @ dy), rcond=None)
         t = 1.0
-        accepted = False
         for _ in range(25):
             y_t = problem.y_retract(y, cy.basis @ (t * dy))
             z_t = problem.z_retract(z, cz.basis @ (t * dz))
-            y_t, z_t, r_t, used, _ = _restore_feasibility(
+            y_t, z_t, r_t, used = _restore_feasibility(
                 problem, x, y_t, z_t, restore_tol, max(1, max_iter - iters)
             )
             iters += used
             if r_t <= solver_tol:
                 state_t = tangent_state(y_t, z_t)
-                opt_t = state_t[6]
-                if opt_t <= max(opt * (1.0 - 1e-2 * t), 0.5 * opt_tol):
+                if state_t[6] <= max(opt * (1.0 - 1e-2 * t), 0.5 * opt_tol):
                     y, z, current, state = y_t, z_t, r_t, state_t
-                    accepted = True
                     break
             t *= 0.5
-        if not accepted:
+        else:
             message = "tangent descent stalled"
             break
     else:
@@ -206,7 +205,7 @@ def constrained_nearest_solution(
         converged = False
         message = "latent variable left the trust region"
     return ResolveResult(
-        y=y, z=z, residual_norm=current, iterations=iters, converged=converged, message=message
+        y=y, z=z, residual_norm=current, iterations=iters, converged=converged, message=message, _evaluation=state[7]
     )
 
 
@@ -231,18 +230,17 @@ def finite_difference_check(
         raise ValueError("direction must have unit norm in the input chart")
     blocks = evaluate_blocks(problem, point)
     dh = solution_map_derivative_minnorm(blocks)
-    cx = problem.x_chart(point.x, point.y, point.z)
     cy = problem.y_chart(point.x, point.y, point.z)
     predicted = cy.basis @ (dh @ direction)
     pred_norm = float(np.linalg.norm(predicted))
     errors = []
     for t in steps:
         t = float(t)
-        if t <= 0.0:
+        if not t > 0.0:
             raise ValueError("steps must be positive")
         results = []
         for sign in (+1.0, -1.0):
-            x_t = problem.x_retract(point.x, cx.basis @ (sign * t * direction))
+            x_t = problem.x_retract(point.x, blocks._x_basis @ (sign * t * direction))
             res = constrained_nearest_solution(
                 problem, point, x_t, solver_tol=solver_tol, max_iter=max_iter
             )
@@ -273,29 +271,18 @@ def empirical_condition(
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise ValueError(f"radius must be finite and positive, got {radius}")
     blocks = evaluate_blocks(problem, point)
     dh = solution_map_derivative_minnorm(blocks)
-    cx = problem.x_chart(point.x, point.y, point.z)
-    dim_x = problem.dims.dim_x
-
-    directions = []
-    for i in range(n_samples):
-        rng = np.random.default_rng((seed, i))
-        u = rng.standard_normal(dim_x)
-        norm = float(np.linalg.norm(u))
-        if norm == 0.0:
-            u = np.ones(dim_x)
-            norm = float(np.linalg.norm(u))
-        directions.append(u / norm)
+    directions = [_unit_direction(seed, i, problem.dims.dim_x) for i in range(n_samples)]
     if dh.size:
         directions.append(_svd(dh).vh[0])
 
     max_ratio = 0.0
     n_failed = 0
     for u in directions:
-        x_t = problem.x_retract(point.x, cx.basis @ (radius * u))
+        x_t = problem.x_retract(point.x, blocks._x_basis @ (radius * u))
         res = constrained_nearest_solution(
             problem, point, x_t, solver_tol=solver_tol, max_iter=max_iter
         )

@@ -106,6 +106,18 @@ def _svd(m, rtol: float | None = None, *, full: bool = False, uv: bool = True) -
     return _Svd(u, s, vh, int(np.count_nonzero(s > tol)), tol, norm, rtol)
 
 
+def _recut(f: _Svd, rtol: float | None, shape: tuple[int, int]) -> _Svd:
+    """``f``, the SVD of a matrix of ``shape``, with its rank cut at ``rtol``."""
+    rtol = _resolve_rtol(rtol, shape)
+    return _Svd(f.u, f.s, f.vh, int(np.count_nonzero(f.s > rtol * f.norm)), rtol * f.norm, f.norm, rtol)
+
+
+def _is_orthonormal(b: np.ndarray, tol: float) -> bool:
+    """``||b.T b - I||_2 <= tol``, with an SVD only if the Frobenius norm, a bound, exceeds tol."""
+    err = b.T @ b - np.eye(b.shape[1])
+    return bool(np.linalg.norm(err) <= tol or spectral_norm(err) <= tol)
+
+
 @dataclass(frozen=True)
 class RankDecision:
     """Outcome of a numerical rank decision.

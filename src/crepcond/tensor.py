@@ -30,12 +30,12 @@ from pathlib import Path
 import numpy as np
 
 from .linalg import (
+    _is_orthonormal,
+    _resolve_rtol,
     _svd,
     as_matrix,
     complement_basis,
     numerical_rank,
-    orthonormalize,
-    spectral_norm,
 )
 
 __all__ = [
@@ -153,7 +153,7 @@ class TuckerPoint:
         for d, u in enumerate(factors):
             if u.shape[1] != core.shape[d]:
                 raise ValueError(f"factors[{d}] has {u.shape[1]} columns, core mode {d} is {core.shape[d]}")
-            if spectral_norm(u.T @ u - np.eye(u.shape[1])) > 1e-12:
+            if not _is_orthonormal(u, 1e-12):
                 raise ValueError(f"factors[{d}] does not have orthonormal columns")
         product = self.product
         if product is None:
@@ -255,7 +255,7 @@ def _check_orthonormal(u) -> np.ndarray:
     u = as_matrix(u, "u")
     if u.shape[1] > u.shape[0]:
         raise ValueError(f"{u.shape} has more columns than rows")
-    if spectral_norm(u.T @ u - np.eye(u.shape[1])) > 1e-10:
+    if not _is_orthonormal(u, 1e-10):
         raise ValueError("matrix does not have orthonormal columns")
     return u
 
@@ -297,12 +297,19 @@ def mlrank_tangent_basis(p: TuckerPoint, rtol: float | None = None) -> np.ndarra
     """Orthonormal basis of the tangent space of the fixed-multilinear-rank
     manifold at ``p.product``, as vectorized ambient directions.
 
-    Dimension: ``prod(m_d) + sum((n_d - m_d) m_d)``.  Assembled from the
-    pairwise-orthogonal summand blocks of :func:`mlrank_tangent_blocks`,
-    orthonormalized block by block (which preserves global orthonormality).
+    Dimension: ``prod(m_d) + sum((n_d - m_d) m_d)``.  The summand blocks of
+    :func:`mlrank_tangent_blocks` are pairwise orthogonal, and block ``d + 1``
+    has Gram matrix ``I kron C_(d) C_(d).T``; with ``C_(d) = W S V.T`` it is
+    orthonormal when built from the core times ``(W S^-1).T`` in mode ``d``
+    (singular values at or below the block's rank cut at ``rtol`` dropped).
     """
-    blocks = mlrank_tangent_blocks(p)
-    ortho = [blocks[0]] + [orthonormalize(b, rtol) for b in blocks[1:]]
+    ortho = [_kron_chain(p.factors)]
+    for d, u in enumerate(p.factors):
+        perp, flat = complement_basis(u), flatten(p.core, d)
+        f = _svd(flat, _resolve_rtol(rtol, (p.product.size, perp.shape[1] * flat.shape[0])))
+        w = f.u[:, : f.rank] / f.s[: f.rank]
+        core = np.moveaxis(np.tensordot(w.T, p.core, axes=(1, d)), 0, d)
+        ortho.append(_factor_directions(p.factors, core, d, perp))
     basis = np.hstack(ortho)
     expected = mlrank_tangent_dim(p.shape, p.ranks)
     if basis.shape[1] != expected:

@@ -120,12 +120,30 @@ def test_analyze_missing_and_invalid_files(tmp_path, capsys):
     bad.write_text("{")
     assert main(["analyze", str(bad)]) == 1
     capsys.readouterr()
+    # Unparsable flag values and missing arguments are usage errors too; 2 is
+    # reserved for failed certificates.
+    spec = write_spec(tmp_path, "polar.json", {"kind": "polar", "x0": 0.0})
+    for argv in (
+        ["analyze", str(spec), "--rtol", "abc"],
+        ["analyze", str(spec), "--seed", "x"],
+        ["analyze"],
+        ["tucker", str(spec)],
+        ["nonsense"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "error:" in capsys.readouterr().err
 
 
 def test_analyze_bad_empirical_flag(tmp_path, capsys):
     spec = write_spec(tmp_path, "polar.json", {"kind": "polar", "x0": 0.0})
     assert main(["analyze", str(spec), "--empirical", "banana"]) == 1
     assert "--empirical" in capsys.readouterr().err
+    for bad in ("4:nan", "4:inf"):
+        assert main(["analyze", str(spec), "--empirical", bad]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "--empirical" in err
 
 
 def test_rtol_env_override(tmp_path, monkeypatch, capsys):

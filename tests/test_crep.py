@@ -362,6 +362,39 @@ def test_kappa_stage_factors_jyz_once(case, monkeypatch):
     assert shapes.count(shape) == 1
 
 
+def _count_calls(problem, names=("jacobian", "x_chart", "y_chart", "z_chart")):
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _fn=getattr(problem, name), _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+
+        setattr(problem, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("case", ["polar", "tucker"])
+def test_condition_numbers_evaluates_each_point_once(case):
+    """The kappa stage reuses the certificate's evaluation of the reference
+    point, and each sample check reuses the resolver's last evaluation."""
+    if case == "polar":
+        problem, point = polar_problem(0.0)
+    else:
+        problem, point = build_tucker_crep(TuckerCrepConfig(random_tucker_point((5, 3, 4), (2, 3, 2), 0), 0))
+    counts = _count_calls(problem)
+    report = condition_numbers(problem, point, n_samples=0)
+    assert report.certificate.passed
+    assert counts == {"jacobian": 1, "x_chart": 1, "y_chart": 1, "z_chart": 1}
+    # The same answers as a kappa stage that evaluates the point afresh.
+    fresh = condition_numbers(problem, point, certificate=report.certificate)
+    assert (fresh.kappa_y, fresh.kappa_z, fresh.kappa_yz) == (report.kappa_y, report.kappa_z, report.kappa_yz)
+    np.testing.assert_array_equal(fresh.dh, report.dh)
+    counts.update(dict.fromkeys(counts, 0))
+    report = condition_numbers(problem, point, n_samples=2)
+    assert report.certificate.passed and report.certificate.samples_checked == 2
+    assert counts["x_chart"] == 1 + report.certificate.samples_checked
+
+
 def test_z_chart_invariance():
     rng = np.random.default_rng(26)
     for i in range(20):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -114,6 +115,28 @@ def test_resolve_satisfies_first_order_optimality():
             assert np.linalg.norm(b.T @ displacement) <= 10 * solver_tol
 
 
+def test_resolve_never_reports_a_non_finite_residual_converged():
+    problem, point = polar_problem(0.0)
+    res = constrained_nearest_solution(problem, point, np.array([np.nan]))
+    assert not res.converged
+    assert res.message == "residual is not finite"
+
+
+def test_resolver_checks_its_blocks_as_chart_blocks_does():
+    """The resolver's projected blocks, which the certificate reuses, get the
+    checks of chart_blocks: declared chart dimensions and finite entries."""
+    problem, point = polar_problem(0.0)
+    wrong_dims = dataclasses.replace(problem, dims=CrepDims(1, 1, 2, 2))
+    nan_jacobian = dataclasses.replace(
+        problem, jacobian=lambda x, y, z: (lambda j_x, j_y, j_z: (j_x, j_y * np.nan, j_z))(*problem.jacobian(x, y, z))
+    )
+    for bad, match in ((wrong_dims, "dimension"), (nan_jacobian, "non-finite")):
+        with pytest.raises(ValueError, match=match):
+            evaluate_blocks(bad, point)
+        with pytest.raises(ValueError, match=match):
+            constrained_nearest_solution(bad, point, np.array([0.01]))
+
+
 def test_resolve_reports_budget_exhaustion():
     problem, point = polar_problem(0.0)
     res = constrained_nearest_solution(problem, point, np.array([0.05]), max_iter=0)
@@ -154,6 +177,8 @@ def test_fd_rejects_bad_direction_and_steps():
         finite_difference_check(problem, point, [2.0], [1e-3])
     with pytest.raises(ValueError):
         finite_difference_check(problem, point, [1.0], [-1e-3])
+    with pytest.raises(ValueError):
+        finite_difference_check(problem, point, [1.0], [math.nan])
 
 
 def test_fd_raises_on_resolve_failure():
@@ -207,6 +232,9 @@ def test_empirical_validates_arguments():
         empirical_condition(problem, point, radius=0.0, n_samples=4)
     with pytest.raises(ValueError):
         empirical_condition(problem, point, radius=1e-3, n_samples=0)
+    for radius in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="radius"):
+            empirical_condition(problem, point, radius=radius, n_samples=4)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 import crepcond
+from crepcond import linalg
+from crepcond.crep import TangentChart
 from crepcond.linalg import (
     InconsistentSystemError,
+    _is_orthonormal,
     complement_basis,
     default_rtol,
     kernel_basis,
@@ -321,4 +324,45 @@ def test_svd_has_one_entry_point():
             order = n.args[1] if len(n.args) > 1 else next((k.value for k in n.keywords if k.arg == "ord"), None)
             if isinstance(order, ast.Constant) and order.value == 2:
                 offenders.append(f"{path.name}:{n.lineno} norm(., 2)")
+        # Orthonormality checks go through linalg._is_orthonormal; the values
+        # that verify.py measures and reports are not checks.
+        if path.name != "verify.py":
+            offenders += [f"{path.name}:{n.lineno} spectral_norm(. - eye)" for n in _gram_error_norms(tree)]
     assert not offenders
+
+
+def _gram_error_norms(tree):
+    """Calls ``spectral_norm(<expr> - <module>.eye(...))`` in ``tree``."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.BinOp)):
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        arg = node.args[0]
+        if (
+            name == "spectral_norm"
+            and isinstance(arg.op, ast.Sub)
+            and isinstance(arg.right, ast.Call)
+            and getattr(arg.right.func, "attr", None) == "eye"
+        ):
+            yield node
+
+
+def test_orthonormality_check_takes_the_svd_only_when_frobenius_cannot_decide(monkeypatch):
+    calls = []
+    spectral = linalg.spectral_norm
+    monkeypatch.setattr(linalg, "spectral_norm", lambda m: calls.append(m.shape) or spectral(m))
+    tol = 1e-10
+    assert _is_orthonormal(np.eye(6)[:, :4], tol)
+    assert calls == []
+    # Gram error 0.8 tol * I_4: Frobenius norm 1.6 tol, spectral norm 0.8 tol.
+    near = np.eye(6)[:, :4] * np.sqrt(1.0 + 0.8 * tol)
+    err = near.T @ near - np.eye(4)
+    assert np.linalg.norm(err) > tol >= np.linalg.norm(err, 2)
+    assert _is_orthonormal(near, tol)
+    TangentChart(6, near)
+    assert calls == [(4, 4), (4, 4)]
+    # Gram error 1.2 tol * I_4: the spectral norm is above tol too.
+    far = np.eye(6)[:, :4] * np.sqrt(1.0 + 1.2 * tol)
+    assert not _is_orthonormal(far, tol)
+    with pytest.raises(ValueError, match="orthonormal"):
+        TangentChart(6, far)

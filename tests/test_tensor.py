@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from crepcond.linalg import complement_basis, numerical_rank, subspace_distance
+from crepcond.linalg import complement_basis, numerical_rank, orthonormalize, subspace_distance
 from crepcond.tensor import (
     TuckerPoint,
     _factor_directions,
@@ -308,6 +308,31 @@ def test_mlrank_tangent_blocks_pairwise_orthogonal():
         for j in range(i + 1, len(blocks)):
             if blocks[i].size and blocks[j].size:
                 assert np.linalg.norm(blocks[i].T @ blocks[j], 2) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "shape, ranks, seed",
+    [((5, 3, 4), (2, 3, 2), 18), ((4, 3, 3, 2), (2, 2, 2, 2), 19)],
+)
+def test_mlrank_basis_from_core_spans_the_orthonormalized_blocks(shape, ranks, seed):
+    """Each factor block is orthonormalized from the core flattening; the
+    reference orthonormalizes the ambient block itself."""
+    point = random_tucker_point(shape, ranks, seed)
+    basis = mlrank_tangent_basis(point)
+    blocks = mlrank_tangent_blocks(point)
+    reference = np.hstack([blocks[0]] + [orthonormalize(b) for b in blocks[1:]])
+    assert basis.shape == reference.shape == (point.product.size, mlrank_tangent_dim(shape, ranks))
+    assert np.linalg.norm(basis.T @ basis - np.eye(basis.shape[1]), 2) <= 1e-14
+    assert subspace_distance(basis, reference) <= 1e-13
+
+
+def test_mlrank_basis_rejects_core_below_full_rank_at_rtol():
+    core = np.zeros((2, 2, 2))
+    core[0, 0, 0], core[1, 1, 1] = 1.0, 1e-9
+    point = TuckerPoint(core=core, factors=tuple(random_stiefel(s, n, 2) for s, n in enumerate((4, 3, 3))))
+    assert mlrank_tangent_basis(point).shape[1] == mlrank_tangent_dim((4, 3, 3), (2, 2, 2))
+    with pytest.raises(ValueError, match="not of full multilinear rank"):
+        mlrank_tangent_basis(point, rtol=1e-6)
 
 
 def per_velocity_images(point, mode, velocities):
