@@ -7,7 +7,9 @@ and condition numbers can be cross-checked against observed behaviour.
 * :func:`constrained_nearest_solution` re-solves ``F(x, y, z) = c`` for a
   perturbed input, returning the feasible ``(y, z)`` that locally minimises
   the distance of ``y`` to the reference output (a numerical realisation of
-  the canonical solution map).
+  the canonical solution map).  Each of its steps is the minimum-norm solve
+  of ``[j_y j_z]`` that defines ``DH`` in the kappa stage, applied to the
+  residual and the current output error.
 * :func:`finite_difference_check` compares central differences of the
   resolver against the solution-map derivative.
 * :func:`empirical_condition` estimates the condition number by sampling
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .crep import CrepPoint, CrepProblem, _project, _unit_direction, evaluate_blocks, solution_map_derivative_minnorm
-from .linalg import _svd, orthonormalize
+from .linalg import _lstsq, _svd
 
 __all__ = [
     "EmpiricalEstimate",
@@ -47,7 +49,8 @@ class ResolveFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class ResolveResult:
-    """Outcome of re-solving the system for a perturbed input."""
+    """Outcome of re-solving the system for a perturbed input; ``iterations``
+    counts linearisations, one per evaluation of the Jacobian blocks."""
 
     y: np.ndarray
     z: np.ndarray
@@ -70,44 +73,6 @@ class EmpiricalEstimate:
     n_failed: int = 0
 
 
-def _yz_tangent(problem: CrepProblem, x, y, z):
-    """Ambient j_x, output/latent charts and their projected blocks at an iterate.
-
-    Unlike :func:`crepcond.crep.chart_blocks` this skips the input chart, so
-    it is safe to call at infeasible intermediate iterates.
-    """
-    jx_a, jy_a, jz_a = problem.jacobian(x, y, z)
-    cy = problem.y_chart(x, y, z)
-    cz = problem.z_chart(x, y, z)
-    return jx_a, cy, cz, _project(problem, jy_a, cy, "y"), _project(problem, jz_a, cz, "z")
-
-
-def _restore_feasibility(problem, x, y, z, tol, budget):
-    """Damped Gauss-Newton on the residual; returns (y, z, rnorm, used)."""
-    r = problem.residual(x, y, z)
-    current = float(np.linalg.norm(r))
-    used = 0
-    while current > tol and used < budget:
-        _, cy, cz, j_y, j_z = _yz_tangent(problem, x, y, z)
-        step, *_ = np.linalg.lstsq(np.hstack([j_y, j_z]), -r, rcond=None)
-        dy = cy.basis @ step[: j_y.shape[1]]
-        dz = cz.basis @ step[j_y.shape[1] :]
-        t = 1.0
-        for _ in range(30):
-            y_t = problem.y_retract(y, t * dy)
-            z_t = problem.z_retract(z, t * dz)
-            r_t = problem.residual(x, y_t, z_t)
-            new = float(np.linalg.norm(r_t))
-            if new <= (1.0 - 1e-4 * t) * current:
-                y, z, r, current = y_t, z_t, r_t, new
-                break
-            t *= 0.5
-        else:
-            return y, z, current, used + 1
-        used += 1
-    return y, z, current, used
-
-
 def constrained_nearest_solution(
     problem: CrepProblem,
     point: CrepPoint,
@@ -118,94 +83,73 @@ def constrained_nearest_solution(
 ) -> ResolveResult:
     """Feasible ``(y, z)`` for input ``x_pert`` locally minimising ``||y - y0||``.
 
-    Runs damped Gauss-Newton from ``(y0, z0)`` until the residual is below
-    ``solver_tol`` (default ``1e-12 * problem.scale``), then alternates
-    tangent descent steps along the kernel of ``[j_y j_z]`` with
-    feasibility restoration until the first-order optimality condition
-    holds: the output displacement is orthogonal to the output-projection
-    of the kernel within ``10 * solver_tol``.
-
-    The latent variable is kept near its reference value; leaving the trust
-    radius ``z_trust`` (default ``0.5 * max(1, ||z0||)``) marks the result
-    as not converged.
+    Each iteration linearises the system once at the current ``(y, z)``,
+    starting from ``(y0, z0)``, and takes a Newton step with the
+    Moore-Penrose inverse, chosen as the kappa stage chooses ``DH``: of the
+    least-squares solutions of ``j_y dy + j_z dz = -r`` (chart coordinates,
+    ``r`` the residual), the one with the smallest new output error
+    ``e + dy``.  One backtracking rule on the residual sets the step length.
+    The result is converged once the residual is at most ``solver_tol``
+    (default ``1e-12 * problem.scale``) and ``||dy||``, at a feasible point
+    the first-order optimality residual, at most ``10 * solver_tol``.  Ending
+    farther than ``z_trust`` (default ``0.5 * max(1, ||z0||)``) from ``z0``
+    marks the result as not converged.
     """
     x = np.asarray(x_pert, dtype=float).ravel()
     if solver_tol is None:
         solver_tol = 1e-12 * problem.scale
-    opt_tol = 10.0 * solver_tol
-    # Feasibility is restored below solver_tol so that the jitter it injects
-    # into the output stays well under the optimality tolerance.
-    restore_tol = max(1e-2 * solver_tol, 50.0 * np.finfo(float).eps * problem.scale)
     if z_trust is None:
         z_trust = 0.5 * max(1.0, float(np.linalg.norm(point.z)))
-    y0 = point.y
-    y = point.y.copy()
-    z = point.z.copy()
     dim_y = problem.dims.dim_y
-    iters = 0
-    message = ""
-    converged = False
-
-    def tangent_state(yv, zv):
-        jx_a, cy, cz, j_y, j_z = _yz_tangent(problem, x, yv, zv)
+    y, z = point.y.copy(), point.z.copy()
+    r = problem.residual(x, y, z)
+    current = float(np.linalg.norm(r))
+    evaluation = None
+    message = "residual is not finite"
+    iterations = 0
+    # The line search accepts only finite residuals, so this tests the start.
+    while math.isfinite(current):
+        iterations += 1
+        jx_a, jy_a, jz_a = problem.jacobian(x, y, z)
+        cy = problem.y_chart(x, y, z)
+        cz = problem.z_chart(x, y, z)
+        j_y, j_z = _project(problem, jy_a, cy, "y"), _project(problem, jz_a, cz, "z")
         j_yz = np.hstack([j_y, j_z])
         f = _svd(j_yz, full=j_yz.shape[0] < j_yz.shape[1])
-        e = cy.basis.T @ (yv - y0)
-        b = orthonormalize(f.vh[f.rank :, :dim_y].T)
-        opt = float(np.linalg.norm(b.T @ e)) if b.size else 0.0
-        return cy, cz, j_y, j_z, e, b, opt, (jx_a, j_y, j_z, f._replace(u=None, vh=None))
-
-    y, z, current, used = _restore_feasibility(problem, x, y, z, restore_tol, max_iter)
-    iters += used
-    if not current <= solver_tol:  # also a non-finite residual
-        message = "feasibility restoration stalled" if math.isfinite(current) else "residual is not finite"
-        return ResolveResult(y=y, z=z, residual_norm=current, iterations=iters, converged=False, message=message)
-    state = tangent_state(y, z)
-
-    for _ in range(max_iter):
-        cy, cz, j_y, j_z, e, b, opt, _ = state
-        if opt <= opt_tol:
-            converged = True
+        evaluation = (jx_a, j_y, j_z, f._replace(u=None, vh=None))
+        # Every least-squares solution of [j_y j_z](w, dz) = j_y e - r is
+        # p + K c, K the kernel; c minimises the new output error |w| = |e + dy|.
+        e = cy.basis.T @ (y - point.y)
+        p = _lstsq(f, j_y @ e - r)
+        kern = f.vh[f.rank :].T
+        c = -_lstsq(_svd(kern[:dim_y]), p[:dim_y])
+        dy = p[:dim_y] + kern[:dim_y] @ c - e
+        dz = p[dim_y:] + kern[dim_y:] @ c
+        if current <= solver_tol and float(np.linalg.norm(dy)) <= 10.0 * solver_tol:
+            trusted = float(np.linalg.norm(z - point.z)) <= z_trust
+            message = "" if trusted else "latent variable left the trust region"
             break
-        if iters >= max_iter:
+        if iterations > max_iter:
             message = "iteration budget exhausted"
             break
-
-        # Tangent descent: remove the output-error component that lies in the
-        # output-projection of the kernel, and move the latent variable by the
-        # minimum-norm amount feasibility requires (this keeps pure gauge
-        # directions, which would move z without improving y, out of the
-        # step).  Acceptance is measured on the first-order optimality
-        # residual, which the step contracts; near the optimum the squared
-        # output distance changes by less than restoration noise, so it
-        # cannot serve as the acceptance criterion.
-        dy = -(b @ (b.T @ e))
-        dz, *_ = np.linalg.lstsq(j_z, -(j_y @ dy), rcond=None)
+        # A full step along the kernel raises the residual by O(|dy|^2), so
+        # any residual up to solver_tol is accepted.
         t = 1.0
-        for _ in range(25):
+        for _ in range(30):
             y_t = problem.y_retract(y, cy.basis @ (t * dy))
             z_t = problem.z_retract(z, cz.basis @ (t * dz))
-            y_t, z_t, r_t, used = _restore_feasibility(
-                problem, x, y_t, z_t, restore_tol, max(1, max_iter - iters)
-            )
-            iters += used
-            if r_t <= solver_tol:
-                state_t = tangent_state(y_t, z_t)
-                if state_t[6] <= max(opt * (1.0 - 1e-2 * t), 0.5 * opt_tol):
-                    y, z, current, state = y_t, z_t, r_t, state_t
-                    break
+            r_t = problem.residual(x, y_t, z_t)
+            new = float(np.linalg.norm(r_t))
+            if new <= max((1.0 - 1e-4 * t) * current, solver_tol):
+                y, z, r, current = y_t, z_t, r_t, new
+                break
             t *= 0.5
         else:
-            message = "tangent descent stalled"
+            message = "line search stalled"
             break
-    else:
-        message = "iteration budget exhausted"
-
-    if converged and float(np.linalg.norm(z - point.z)) > z_trust:
-        converged = False
-        message = "latent variable left the trust region"
     return ResolveResult(
-        y=y, z=z, residual_norm=current, iterations=iters, converged=converged, message=message, _evaluation=state[7]
+        y=y, z=z, residual_norm=current, iterations=iterations, converged=not message, message=message,
+        _evaluation=evaluation,
     )
 
 

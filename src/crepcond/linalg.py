@@ -219,10 +219,17 @@ def min_norm_solve(a, b, rtol: float | None = None, *, scale: float = 0.0) -> np
     return x[:, 0] if vector_rhs else x
 
 
+def _lstsq(f: _Svd, b: np.ndarray) -> np.ndarray:
+    """Least-squares minimum-norm solution of ``a @ x = b`` (``b`` a vector or
+    columns) from the factorization ``f`` of ``a``: ``pinv(a) @ b`` at ``f``'s rank cut."""
+    s = f.s[: f.rank] if b.ndim == 1 else f.s[: f.rank, None]
+    return f.vh[: f.rank].T @ ((f.u[:, : f.rank].T @ b) / s)
+
+
 def _solve(a: np.ndarray, f: _Svd, b: np.ndarray, scale: float) -> np.ndarray:
     """Minimum-norm solution of ``a @ x = b`` from the factorization ``f`` of
     ``a``, with the consistency check documented in :func:`min_norm_solve`."""
-    x = f.vh[: f.rank].T @ ((f.u[:, : f.rank].T @ b) / f.s[: f.rank, None])
+    x = _lstsq(f, b)
     residual = a @ x - b
     for j in range(b.shape[1]):
         res_j = float(np.linalg.norm(residual[:, j]))

@@ -8,9 +8,10 @@ Four kinds are available:
     circle of radius ``1 / (1 - x)`` and to the diagonal.  The solution map
     is ``y(x) = 1 / (1 - x)``, ``z(x) = pi / 4``: the radius is sensitive
     to the input, the angle is not, giving condition numbers
-    ``(kappa_y, kappa_z, kappa_yz) = (1, 0, 1)`` at ``x0 = 0``.  The domain
-    guards ``x < 1``, ``y > 0`` and ``z in (0, pi/2)`` keep the rank
-    hypotheses valid near the reference solution.
+    ``(kappa_y, kappa_z, kappa_yz) = (1, 0, 1)`` at ``x0 = 0``.  The input
+    domain is ``x < 1``, past which the residual is NaN; ``y > 0`` and
+    ``z in (0, pi/2)`` keep the rank hypotheses valid near the reference
+    solution.
 
 ``matrix_factorization``
     ``X - Y Z = 0`` for a rank-``k`` matrix ``X``: recover a basis ``Y`` of
@@ -63,7 +64,7 @@ def polar_problem(x0: float = 0.0) -> tuple[CrepProblem, CrepPoint]:
 
     Equations: ``y**2 = (x - 1)**-2`` and ``y cos z - y sin z = 0``; the
     reference solution is ``(x0, 1 / (1 - x0), pi / 4)``.  Requires
-    ``x0 < 1``.
+    ``x0 < 1``; outside that domain the residual and ``j_x`` are NaN.
     """
     x0 = float(x0)
     if x0 >= 1.0:
@@ -71,13 +72,17 @@ def polar_problem(x0: float = 0.0) -> tuple[CrepProblem, CrepPoint]:
     y0 = 1.0 / (1.0 - x0)
     z0 = math.pi / 4.0
 
+    def pole(x, power):
+        xv = float(x[0])
+        return (xv - 1.0) ** power if xv < 1.0 else math.nan  # also NaN for a NaN input
+
     def residual(x, y, z):
-        xv, yv, zv = float(x[0]), float(y[0]), float(z[0])
-        return np.array([yv**2 - (xv - 1.0) ** -2, yv * math.cos(zv) - yv * math.sin(zv)])
+        yv, zv = float(y[0]), float(z[0])
+        return np.array([yv**2 - pole(x, -2), yv * math.cos(zv) - yv * math.sin(zv)])
 
     def jacobian(x, y, z):
-        xv, yv, zv = float(x[0]), float(y[0]), float(z[0])
-        j_x = np.array([[2.0 * (xv - 1.0) ** -3], [0.0]])
+        yv, zv = float(y[0]), float(z[0])
+        j_x = np.array([[2.0 * pole(x, -3)], [0.0]])
         j_y = np.array([[2.0 * yv], [math.cos(zv) - math.sin(zv)]])
         j_z = np.array([[0.0], [-yv * (math.sin(zv) + math.cos(zv))]])
         return j_x, j_y, j_z

@@ -146,6 +146,16 @@ def test_analyze_bad_empirical_flag(tmp_path, capsys):
         assert err.startswith("error:") and err.count("\n") == 1 and "--empirical" in err
 
 
+def test_analyze_empirical_past_the_polar_pole_reports_failed_samples(tmp_path, capsys):
+    # Radius 1 around x0 = 0 puts samples on the pole x = 1 of the polar system.
+    spec = write_spec(tmp_path, "polar.json", {"kind": "polar", "x0": 0})
+    out = tmp_path / "report.json"
+    assert main(["analyze", str(spec), "--empirical", "4:1", "--json", str(out)]) == 0
+    empirical = json.loads(out.read_text())["empirical"]
+    assert 1 <= empirical["n_failed"] < 5
+    assert f"{empirical['n_failed']} failed" in capsys.readouterr().out
+
+
 def test_rtol_env_override(tmp_path, monkeypatch, capsys):
     spec = write_spec(tmp_path, "polar.json", {"kind": "polar", "x0": 0.0})
     out = tmp_path / "report.json"

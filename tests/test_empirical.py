@@ -21,7 +21,8 @@ from crepcond.empirical import (
 )
 from crepcond.linalg import kernel_basis, orthonormalize
 from crepcond.problems import linearized_problem, matrix_factorization_problem, polar_problem
-from crepcond.tucker import TuckerCrepConfig, build_tucker_crep, random_tucker_point
+from crepcond.tensor import TuckerPoint
+from crepcond.tucker import TuckerCrepConfig, build_tucker_crep, random_stiefel, random_tucker_point
 
 
 def swapped_polar():
@@ -89,21 +90,31 @@ def test_resolve_tucker_feasible_and_orthonormal():
     assert np.linalg.norm(core) > 0
 
 
+def near_equal_core_point():
+    """Core output at core singular values (1, 1 - 1e-8): kappa = 1, but the
+    nearest solution rotates z along a kernel vector whose y part is ~1e-8."""
+    rng = np.random.default_rng(90)
+    factors = tuple(random_stiefel(rng, n, 2) for n in (4, 3))
+    return build_tucker_crep(TuckerCrepConfig(TuckerPoint(core=np.diag([1.0, 1.0 - 1e-8]), factors=factors), "core"))
+
+
 def test_resolve_satisfies_first_order_optimality():
     cases = [
-        polar_problem(0.0),
-        matrix_factorization_problem(4, 3, 2, seed=33),
-        build_tucker_crep(TuckerCrepConfig(random_tucker_point((4, 3), (2, 2), 34), 0)),
+        (*polar_problem(0.0), None),
+        (*matrix_factorization_problem(4, 3, 2, seed=33), None),
+        (*build_tucker_crep(TuckerCrepConfig(random_tucker_point((4, 3), (2, 2), 34), 0)), None),
+        # The nearest solution moves z by more than the default trust radius.
+        (*near_equal_core_point(), np.inf),
     ]
     solver_tol_scale = 1e-12
-    for problem, pt in cases:
+    for problem, pt, z_trust in cases:
         solver_tol = solver_tol_scale * problem.scale
         cx = problem.x_chart(pt.x, pt.y, pt.z)
         rng = np.random.default_rng(35)
         d = rng.standard_normal(problem.dims.dim_x)
         d /= np.linalg.norm(d)
         x_pert = problem.x_retract(pt.x, cx.basis @ (1e-4 * problem.scale * d))
-        res = constrained_nearest_solution(problem, pt, x_pert, solver_tol=solver_tol)
+        res = constrained_nearest_solution(problem, pt, x_pert, solver_tol=solver_tol, z_trust=z_trust)
         assert res.converged, res.message
         _, j_y_a, j_z_a = problem.jacobian(x_pert, res.y, res.z)
         cy = problem.y_chart(x_pert, res.y, res.z)
@@ -117,9 +128,11 @@ def test_resolve_satisfies_first_order_optimality():
 
 def test_resolve_never_reports_a_non_finite_residual_converged():
     problem, point = polar_problem(0.0)
-    res = constrained_nearest_solution(problem, point, np.array([np.nan]))
-    assert not res.converged
-    assert res.message == "residual is not finite"
+    # The polar residual is NaN outside its domain x < 1, at and past the pole.
+    for x in (np.nan, 1.0, 1.5, np.inf):
+        res = constrained_nearest_solution(problem, point, np.array([x]))
+        assert not res.converged
+        assert res.message == "residual is not finite"
 
 
 def test_resolver_checks_its_blocks_as_chart_blocks_does():

@@ -192,6 +192,23 @@ def test_min_norm_reports_inconsistency():
         min_norm_solve(a, b, 1e-10)
 
 
+@pytest.mark.parametrize("shape", [(9, 5), (5, 9)])
+def test_lstsq_is_the_min_norm_least_squares_solution(shape):
+    """``_lstsq``, the pseudoinverse apply behind ``_solve`` and the resolver's
+    step, on rank-deficient inconsistent systems; numpy's lstsq is the oracle."""
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((shape[0], 3)) @ rng.standard_normal((3, shape[1]))
+    b = rng.standard_normal((shape[0], 2))
+    expected = np.linalg.lstsq(a, b, rcond=None)[0]
+    assert np.linalg.norm(a @ expected - b) > 0.1 * np.linalg.norm(b)  # inconsistent
+    f = linalg._svd(a, full=shape[0] < shape[1])
+    assert f.rank == 3
+    for rhs, want in ((b, expected), (b[:, 0], expected[:, 0])):
+        got = linalg._lstsq(f, rhs)
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
 def test_min_norm_scale_floor_tolerates_cancelled_rhs():
     a = np.array([[1.0], [1.0]])
     noise = np.array([[1e-16], [-1e-16]])
@@ -311,7 +328,8 @@ def _calls(tree, attr):
 
 def test_svd_has_one_entry_point():
     """Every SVD in the package goes through ``linalg._svd`` (spectral norms
-    through ``spectral_norm``), so rank cuts and SVD counts live in one place."""
+    through ``spectral_norm``), so rank cuts and SVD counts live in one place;
+    least-squares solves apply that SVD through ``linalg._lstsq``."""
     offenders = []
     for path in sorted(Path(crepcond.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -320,6 +338,7 @@ def test_svd_has_one_entry_point():
             helper = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_svd")
             allowed = {id(n) for n in _calls(helper, "svd")}
         offenders += [f"{path.name}:{n.lineno} svd" for n in _calls(tree, "svd") if id(n) not in allowed]
+        offenders += [f"{path.name}:{n.lineno} lstsq" for n in _calls(tree, "lstsq")]
         for n in _calls(tree, "norm"):
             order = n.args[1] if len(n.args) > 1 else next((k.value for k in n.keywords if k.arg == "ord"), None)
             if isinstance(order, ast.Constant) and order.value == 2:
