@@ -43,6 +43,7 @@ import numpy as np
 from .linalg import (
     _is_orthonormal,
     _recut,
+    _resolve_rtol,
     _solve,
     _svd,
     _Svd,
@@ -52,7 +53,6 @@ from .linalg import (
     default_rtol,
     kernel_basis,
     numerical_rank,
-    orthonormalize,
     spectral_norm,
 )
 
@@ -153,6 +153,20 @@ class CrepProblem:
     the resolver's last one, adding only the input chart.  ``scale`` is a
     characteristic magnitude of the reference data used to set default
     solver and sampling tolerances.
+
+    ``tangent_blocks(x, y, z, r)``, when given, replaces ``jacobian`` and the
+    charts wherever blocks are evaluated.  It returns ``(j_x, j_y, j_z, qr)``:
+    the blocks in chart coordinates on the right (``j_x = J_x B_x`` and so
+    on, with the bases of ``x_chart``, ``y_chart`` and ``z_chart``) and in
+    the coordinates ``q.T`` of an orthonormal residual basis ``q`` on the
+    left, and ``qr = q.T r`` for the ambient residual ``r`` (None when ``r``
+    is None).  The span of ``q`` must hold every column of the three chart
+    blocks at ``(x, y, z)``; then ``q.T`` keeps their Gram matrix, so every
+    rank, ``DH`` and least-squares step is the ambient one, from matrices
+    with fewer rows.  ``r`` need not lie in that span: the resolver tests
+    convergence on the ambient residual and steps with ``qr``.  Default
+    rank tolerances stay keyed to the ambient shape (``dims.n_residual``
+    rows).  Without the hook, ``q`` is the identity.
     """
 
     name: str
@@ -166,6 +180,7 @@ class CrepProblem:
     y_retract: Callable[[np.ndarray, np.ndarray], np.ndarray] = _flat_retract
     z_retract: Callable[[np.ndarray, np.ndarray], np.ndarray] = _flat_retract
     scale: float = 1.0
+    tangent_blocks: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None], tuple] | None = None
 
 
 @dataclass(frozen=True)
@@ -190,10 +205,16 @@ def make_crep_point(problem: CrepProblem, x, y, z, feas_tol: float | None = None
     z = np.asarray(z, dtype=float).ravel()
     if feas_tol is None:
         feas_tol = 1e-9 * problem.scale
-    rnorm = float(np.linalg.norm(problem.residual(x, y, z)))
-    if rnorm > feas_tol:
-        raise ValueError(f"point is not feasible: residual {rnorm:.3e} exceeds feas_tol {feas_tol:.3e}")
+    rnorm = _feasible_residual_norm(problem.residual(x, y, z), feas_tol)
     return CrepPoint(x=x, y=y, z=z, feas_tol=feas_tol, residual_norm=rnorm)
+
+
+def _feasible_residual_norm(r, feas_tol: float) -> float:
+    """``||r||``, after checking it is at most ``feas_tol`` (so a NaN norm fails)."""
+    rnorm = float(np.linalg.norm(r))
+    if not rnorm <= feas_tol:
+        raise ValueError(f"point is not feasible: residual {rnorm:.3e} exceeds feas_tol {feas_tol:.3e}")
+    return rnorm
 
 
 @dataclass(frozen=True)
@@ -203,9 +224,11 @@ class JacobianBlocks:
     j_x: np.ndarray
     j_y: np.ndarray
     j_z: np.ndarray
-    # Private: the input chart basis (set by chart_blocks) and an SVD of [j_y j_z] (see _yz_svd).
+    # Private: the input chart basis (set by chart_blocks), an SVD of [j_y j_z] (see _yz_svd)
+    # and the ambient residual dimension when the rows are compressed (see _default_rtol).
     _x_basis: np.ndarray | None = field(default=None, repr=False, compare=False)
     _yz: _Svd | None = field(default=None, repr=False, compare=False)
+    _n_ambient: int | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         j_x = as_matrix(self.j_x, "j_x")
@@ -223,7 +246,13 @@ class JacobianBlocks:
 
     def swap_outputs(self) -> "JacobianBlocks":
         """Blocks for the problem with the roles of output and latent reversed."""
-        return JacobianBlocks(j_x=self.j_x, j_y=self.j_z, j_z=self.j_y)
+        return JacobianBlocks(j_x=self.j_x, j_y=self.j_z, j_z=self.j_y, _n_ambient=self._n_ambient)
+
+    def _default_rtol(self, rtol: float | None, shape: tuple[int, int]) -> float:
+        """``rtol``, or the default for a matrix of ``shape`` whose rows count residual
+        directions, keyed to the ambient residual dimension."""
+        dropped = (self._n_ambient or self.n_residual) - self.n_residual
+        return _resolve_rtol(rtol, (shape[0] + dropped, shape[1]))
 
 
 def _project(problem: CrepProblem, mat, chart: TangentChart, label: str) -> np.ndarray:
@@ -238,19 +267,44 @@ def _project(problem: CrepProblem, mat, chart: TangentChart, label: str) -> np.n
     return mat @ chart.basis
 
 
+def _evaluate(problem: CrepProblem, x, y, z, r, charts) -> tuple:
+    """One evaluation at ``(x, y, z)``: ``(j_x, j_y, j_z, q.T r)``, the chart blocks in the
+    residual coordinates ``q.T`` of :class:`CrepProblem`, with ``r`` the ambient residual or None.
+
+    The problem's ``tangent_blocks`` gives all four when it has one, and ``charts`` go unused.
+    Otherwise ``q`` is the identity and the ambient Jacobian is projected onto ``charts``, the
+    x, y and z charts; when the x chart is None, ``j_x`` keeps its ambient columns.
+    """
+    if problem.tangent_blocks is None:
+        ambient = problem.jacobian(x, y, z)
+        blocks = [m if c is None else _project(problem, m, c, label) for m, c, label in zip(ambient, charts, "xyz")]
+        return (*blocks, r)
+    *blocks, qr = problem.tangent_blocks(x, y, z, r)
+    blocks = [as_matrix(m, f"tangent block ({label})") for m, label in zip(blocks, "xyz")]
+    rows = blocks[0].shape[0]
+    expected = [(rows, dim) for dim in problem.dims[:3]]
+    if [m.shape for m in blocks] != expected or rows > problem.dims.n_residual:
+        raise ValueError(f"tangent blocks have shapes {[m.shape for m in blocks]}, expected {expected} "
+                         f"with at most {problem.dims.n_residual} rows")
+    if (qr is None) != (r is None) or (qr is not None and np.shape(qr) != (rows,)):
+        raise ValueError(f"tangent blocks return a residual of shape {np.shape(qr)} for {rows} rows")
+    return (*blocks, qr)
+
+
 def chart_blocks(problem: CrepProblem, x, y, z) -> JacobianBlocks:
-    """Ambient Jacobians at ``(x, y, z)`` projected into chart coordinates."""
-    ambient = problem.jacobian(x, y, z)
-    charts = (problem.x_chart(x, y, z), problem.y_chart(x, y, z), problem.z_chart(x, y, z))
-    j_x, j_y, j_z = (_project(problem, m, c, label) for m, c, label in zip(ambient, charts, "xyz"))
-    return JacobianBlocks(j_x=j_x, j_y=j_y, j_z=j_z, _x_basis=charts[0].basis)
+    """Jacobian blocks at ``(x, y, z)`` in chart coordinates: the ambient Jacobians projected
+    onto the charts, or the compressed rows of the problem's ``tangent_blocks``."""
+    cx = problem.x_chart(x, y, z)
+    charts = (cx, None, None)
+    if problem.tangent_blocks is None:
+        charts = (cx, problem.y_chart(x, y, z), problem.z_chart(x, y, z))
+    j_x, j_y, j_z, _ = _evaluate(problem, x, y, z, None, charts)
+    return JacobianBlocks(j_x=j_x, j_y=j_y, j_z=j_z, _x_basis=cx.basis, _n_ambient=problem.dims.n_residual)
 
 
 def evaluate_blocks(problem: CrepProblem, point: CrepPoint) -> JacobianBlocks:
     """Chart-coordinate Jacobian blocks at a feasible point."""
-    rnorm = float(np.linalg.norm(problem.residual(point.x, point.y, point.z)))
-    if rnorm > point.feas_tol:
-        raise ValueError(f"point is not feasible: residual {rnorm:.3e} exceeds feas_tol {point.feas_tol:.3e}")
+    _feasible_residual_norm(problem.residual(point.x, point.y, point.z), point.feas_tol)
     return chart_blocks(problem, point.x, point.y, point.z)
 
 
@@ -260,8 +314,9 @@ def evaluate_blocks(problem: CrepProblem, point: CrepPoint) -> JacobianBlocks:
 def _elimination_bases(blocks: JacobianBlocks, rtol: float | None) -> tuple[np.ndarray, np.ndarray]:
     """``q``, a basis of span(j_z)-perp, and ``u_y``, the output rows of a
     kernel basis of ``[j_y  j_z]``: the two bases of the elimination system."""
-    q = complement_basis(blocks.j_z, rtol)
-    kern = kernel_basis(np.hstack([blocks.j_y, blocks.j_z]), rtol)
+    j_yz = np.hstack([blocks.j_y, blocks.j_z])
+    q = complement_basis(blocks.j_z, blocks._default_rtol(rtol, blocks.j_z.shape))
+    kern = kernel_basis(j_yz, blocks._default_rtol(rtol, j_yz.shape))
     return q, kern[: blocks.j_y.shape[1], :]
 
 
@@ -300,7 +355,7 @@ def solution_map_derivative(blocks: JacobianBlocks, rtol: float | None = None) -
         return np.zeros((0, dim_x))
     q, u_y = _elimination_bases(blocks, rtol)
     a = np.vstack([q.T @ j_y, u_y.T])
-    f = _svd(a, rtol)
+    f = _svd(a, blocks._default_rtol(rtol, a.shape))
     if f.rank < dim_y:
         raise RankHypothesisError(
             f"elimination system is rank deficient ({f.rank} < {dim_y}); "
@@ -316,7 +371,7 @@ def _yz_svd(blocks: JacobianBlocks, rtol: float | None) -> _Svd:
     certify_crep put on ``blocks`` (a sample's lacks the vectors), else a new one."""
     shape = (blocks.n_residual, blocks.j_y.shape[1] + blocks.j_z.shape[1])
     f = blocks._yz if blocks._yz is not None else _svd(np.hstack([blocks.j_y, blocks.j_z]), full=shape[0] < shape[1])
-    return _recut(f, rtol, shape)
+    return _recut(f, blocks._default_rtol(rtol, shape), shape)
 
 
 def _minnorm_derivatives(
@@ -340,7 +395,8 @@ def _minnorm_derivatives(
     kern = f.vh[f.rank :].T
 
     def project_off_kernel(part, kern_rows):
-        b = orthonormalize(kern_rows, rtol)
+        g = _svd(kern_rows, rtol, scale=1.0)  # rows of the orthonormal kernel basis
+        b = g.u[:, : g.rank]
         return part - b @ (b.T @ part)
 
     dh_y = project_off_kernel(dh_yz[:dim_y], kern[:dim_y])
@@ -497,9 +553,10 @@ def certify_crep(
             resolve_failures += 1
             messages.append(f"sample {i}: re-solve failed ({result.message})")
             continue
-        jx_a, j_y, j_z, f_yz = result._evaluation  # the resolver's last evaluation
-        cx = problem.x_chart(x_pert, result.y, result.z)
-        blocks_i = JacobianBlocks(_project(problem, jx_a, cx, "x"), j_y, j_z, _yz=f_yz)
+        j_x, j_y, j_z, f_yz = result._evaluation  # the resolver's last evaluation
+        if problem.tangent_blocks is None:  # the resolver leaves j_x in ambient columns
+            j_x = _project(problem, j_x, problem.x_chart(x_pert, result.y, result.z), "x")
+        blocks_i = JacobianBlocks(j_x, j_y, j_z, _yz=f_yz, _n_ambient=dims.n_residual)
         r_i, k_i, rank_df_i, _, gap_i, problems_i = _rank_checks(blocks_i, dims, rtol)
         min_gap = min(min_gap, gap_i)
         samples_checked += 1

@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .crep import CrepPoint, CrepProblem, _project, _unit_direction, evaluate_blocks, solution_map_derivative_minnorm
-from .linalg import _lstsq, _svd
+from .crep import CrepPoint, CrepProblem, _evaluate, _unit_direction, evaluate_blocks, solution_map_derivative_minnorm
+from .linalg import _lstsq, _svd, default_rtol
 
 __all__ = [
     "EmpiricalEstimate",
@@ -58,7 +58,8 @@ class ResolveResult:
     iterations: int
     converged: bool
     message: str = ""
-    # Private: (ambient j_x, j_y, j_z, SVD of [j_y j_z] without vectors) at (y, z).
+    # Private: (j_x, j_y, j_z, SVD of [j_y j_z] without vectors) at (y, z), as crep._evaluate
+    # returns them without an x chart: j_x has ambient columns unless the problem has tangent_blocks.
     _evaluation: tuple | None = field(default=None, repr=False, compare=False)
 
 
@@ -88,7 +89,10 @@ def constrained_nearest_solution(
     Moore-Penrose inverse, chosen as the kappa stage chooses ``DH``: of the
     least-squares solutions of ``j_y dy + j_z dz = -r`` (chart coordinates,
     ``r`` the residual), the one with the smallest new output error
-    ``e + dy``.  One backtracking rule on the residual sets the step length.
+    ``e + dy``.  With the problem's ``tangent_blocks`` the system is solved
+    in its compressed residual coordinates, which have the same
+    least-squares solutions.  One backtracking rule on the (ambient)
+    residual sets the step length.
     The result is converged once the residual is at most ``solver_tol``
     (default ``1e-12 * problem.scale``) and ``||dy||``, at a feasible point
     the first-order optimality residual, at most ``10 * solver_tol``.  Ending
@@ -101,6 +105,7 @@ def constrained_nearest_solution(
     if z_trust is None:
         z_trust = 0.5 * max(1.0, float(np.linalg.norm(point.z)))
     dim_y = problem.dims.dim_y
+    rtol = default_rtol((problem.dims.n_residual, dim_y + problem.dims.dim_z))
     y, z = point.y.copy(), point.z.copy()
     r = problem.residual(x, y, z)
     current = float(np.linalg.norm(r))
@@ -110,19 +115,18 @@ def constrained_nearest_solution(
     # The line search accepts only finite residuals, so this tests the start.
     while math.isfinite(current):
         iterations += 1
-        jx_a, jy_a, jz_a = problem.jacobian(x, y, z)
         cy = problem.y_chart(x, y, z)
         cz = problem.z_chart(x, y, z)
-        j_y, j_z = _project(problem, jy_a, cy, "y"), _project(problem, jz_a, cz, "z")
+        j_x, j_y, j_z, qr = _evaluate(problem, x, y, z, r, (None, cy, cz))
         j_yz = np.hstack([j_y, j_z])
-        f = _svd(j_yz, full=j_yz.shape[0] < j_yz.shape[1])
-        evaluation = (jx_a, j_y, j_z, f._replace(u=None, vh=None))
+        f = _svd(j_yz, rtol, full=j_yz.shape[0] < j_yz.shape[1])
+        evaluation = (j_x, j_y, j_z, f._replace(u=None, vh=None))
         # Every least-squares solution of [j_y j_z](w, dz) = j_y e - r is
         # p + K c, K the kernel; c minimises the new output error |w| = |e + dy|.
         e = cy.basis.T @ (y - point.y)
-        p = _lstsq(f, j_y @ e - r)
+        p = _lstsq(f, j_y @ e - qr)
         kern = f.vh[f.rank :].T
-        c = -_lstsq(_svd(kern[:dim_y]), p[:dim_y])
+        c = -_lstsq(_svd(kern[:dim_y], scale=1.0), p[:dim_y])  # rows of the orthonormal kernel
         dy = p[:dim_y] + kern[:dim_y] @ c - e
         dz = p[dim_y:] + kern[dim_y:] @ c
         if current <= solver_tol and float(np.linalg.norm(dy)) <= 10.0 * solver_tol:

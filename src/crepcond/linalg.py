@@ -82,7 +82,8 @@ def _resolve_rtol(rtol: float | None, shape: tuple[int, int]) -> float:
 
 
 class _Svd(NamedTuple):
-    """An SVD and its rank cut: ``rank = #{s > tol}``, ``tol = rtol * norm``, ``norm = sigma_max``."""
+    """An SVD and its rank cut: ``rank = #{s > tol}``, ``norm = sigma_max`` and
+    ``tol = rtol * norm``, or ``rtol`` times the scale the caller gave :func:`_svd`."""
 
     u: np.ndarray | None
     s: np.ndarray
@@ -93,8 +94,13 @@ class _Svd(NamedTuple):
     rtol: float
 
 
-def _svd(m, rtol: float | None = None, *, full: bool = False, uv: bool = True) -> _Svd:
-    """The package's one SVD call, with its rank cut; ``uv=False`` leaves ``u`` and ``vh`` None."""
+def _svd(m, rtol: float | None = None, *, full: bool = False, uv: bool = True, scale: float | None = None) -> _Svd:
+    """The package's one SVD call, with its rank cut; ``uv=False`` leaves ``u`` and ``vh`` None.
+
+    The cut is ``rtol`` times ``scale``, by default ``sigma_max``.  Rows of a matrix with
+    orthonormal columns pass ``scale=1``: their singular values are cosines, so a block of
+    roundoff has rank 0 rather than the rank of its noise.
+    """
     m = as_matrix(m)
     rtol = _resolve_rtol(rtol, m.shape)
     if uv:
@@ -102,7 +108,7 @@ def _svd(m, rtol: float | None = None, *, full: bool = False, uv: bool = True) -
     else:
         u, s, vh = None, np.linalg.svd(m, compute_uv=False), None
     norm = float(s[0]) if s.size else 0.0
-    tol = rtol * norm
+    tol = rtol * (norm if scale is None else scale)
     return _Svd(u, s, vh, int(np.count_nonzero(s > tol)), tol, norm, rtol)
 
 

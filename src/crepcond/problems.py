@@ -63,12 +63,12 @@ def polar_problem(x0: float = 0.0) -> tuple[CrepProblem, CrepPoint]:
     """Circle-plus-diagonal system in polar coordinates.
 
     Equations: ``y**2 = (x - 1)**-2`` and ``y cos z - y sin z = 0``; the
-    reference solution is ``(x0, 1 / (1 - x0), pi / 4)``.  Requires
+    reference solution is ``(x0, 1 / (1 - x0), pi / 4)``.  Requires a finite
     ``x0 < 1``; outside that domain the residual and ``j_x`` are NaN.
     """
     x0 = float(x0)
-    if x0 >= 1.0:
-        raise ValueError(f"x0 must be below 1, got {x0}")
+    if not (math.isfinite(x0) and x0 < 1.0):
+        raise ValueError(f"x0 must be finite and below 1, got {x0}")
     y0 = 1.0 / (1.0 - x0)
     z0 = math.pi / 4.0
 
@@ -224,11 +224,16 @@ def random_linearized_blocks(seed, max_dim: int = 12, deficient: bool | None = N
 PROBLEM_KINDS = ("polar", "matrix_factorization", "tucker", "custom_linearized")
 
 
+def _is_int(value) -> bool:
+    """JSON integers only: ``bool`` is an ``int`` subclass, but ``true`` is not a number."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require(spec: dict, field: str, kinds, kind: str):
     if field not in spec:
         raise SpecError(f"field '{field}' is required for kind '{kind}'")
     value = spec[field]
-    if not isinstance(value, kinds):
+    if isinstance(value, bool) or not isinstance(value, kinds):
         raise SpecError(f"field '{field}' has the wrong type for kind '{kind}'")
     return value
 
@@ -257,7 +262,7 @@ def problem_from_spec(spec: dict, base_dir=None) -> tuple[CrepProblem, CrepPoint
         n = _require(spec, "n", int, kind)
         k_rank = _require(spec, "k_rank", int, kind)
         seed = spec.get("seed", 0)
-        if not isinstance(seed, int):
+        if not _is_int(seed):
             raise SpecError("field 'seed' must be an integer")
         try:
             return matrix_factorization_problem(m, n, k_rank, seed)
@@ -267,7 +272,10 @@ def problem_from_spec(spec: dict, base_dir=None) -> tuple[CrepProblem, CrepPoint
     if kind == "tucker":
         ranks = _require(spec, "ranks", list, kind)
         if "tensor" in spec and isinstance(spec["tensor"], dict):
-            tensor = tensor_from_obj(spec["tensor"])
+            try:
+                tensor = tensor_from_obj(spec["tensor"])
+            except ValueError as exc:
+                raise SpecError(f"field 'tensor' is invalid: {exc}") from exc
         else:
             tensor_path = _require(spec, "tensor", str, kind)
             path = Path(tensor_path)
@@ -306,7 +314,7 @@ def problem_from_spec(spec: dict, base_dir=None) -> tuple[CrepProblem, CrepPoint
 def _parse_output_variable(value, order: int):
     if value == "core":
         return "core"
-    if isinstance(value, int):
+    if _is_int(value):
         idx = value
     elif isinstance(value, str) and value.upper().startswith("U"):
         try:
@@ -321,7 +329,7 @@ def _parse_output_variable(value, order: int):
 
 
 def _tucker_point_from_inputs(tensor: np.ndarray, ranks):
-    if not isinstance(ranks, (list, tuple)) or not all(isinstance(r, int) and r > 0 for r in ranks):
+    if not isinstance(ranks, (list, tuple)) or not all(_is_int(r) and r > 0 for r in ranks):
         raise ValueError("'ranks' must be a list of positive integers")
     ranks = tuple(ranks)
     if len(ranks) != tensor.ndim:

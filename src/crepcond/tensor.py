@@ -293,23 +293,30 @@ def mlrank_tangent_blocks(p: TuckerPoint) -> list[np.ndarray]:
     return [_kron_chain(p.factors)] + blocks
 
 
+def _mode_frame(factors, core, mode: int, rtol: float | None, n_res: int):
+    """``(perp, f)`` for tangent block ``mode + 1``: the complement basis of
+    ``factors[mode]`` and the SVD ``C_(d) = W S V.T`` of the core flattening,
+    cut at ``rtol`` keyed to the block's ambient shape."""
+    perp, flat = complement_basis(factors[mode]), flatten(core, mode)
+    return perp, _svd(flat, _resolve_rtol(rtol, (n_res, perp.shape[1] * flat.shape[0])))
+
+
 def mlrank_tangent_basis(p: TuckerPoint, rtol: float | None = None) -> np.ndarray:
     """Orthonormal basis of the tangent space of the fixed-multilinear-rank
     manifold at ``p.product``, as vectorized ambient directions.
 
     Dimension: ``prod(m_d) + sum((n_d - m_d) m_d)``.  The summand blocks of
     :func:`mlrank_tangent_blocks` are pairwise orthogonal, and block ``d + 1``
-    has Gram matrix ``I kron C_(d) C_(d).T``; with ``C_(d) = W S V.T`` it is
-    orthonormal when built from the core times ``(W S^-1).T`` in mode ``d``
-    (singular values at or below the block's rank cut at ``rtol`` dropped).
+    has Gram matrix ``I kron C_(d) C_(d).T``; with ``C_(d) = W S V.T`` the
+    block spans the same space when built from the rows of ``V.T`` in place
+    of the core flattening, and is then orthonormal (rows for singular values
+    at or below the block's rank cut at ``rtol`` dropped).
     """
     ortho = [_kron_chain(p.factors)]
-    for d, u in enumerate(p.factors):
-        perp, flat = complement_basis(u), flatten(p.core, d)
-        f = _svd(flat, _resolve_rtol(rtol, (p.product.size, perp.shape[1] * flat.shape[0])))
-        w = f.u[:, : f.rank] / f.s[: f.rank]
-        core = np.moveaxis(np.tensordot(w.T, p.core, axes=(1, d)), 0, d)
-        ortho.append(_factor_directions(p.factors, core, d, perp))
+    for d in range(p.order):
+        perp, f = _mode_frame(p.factors, p.core, d, rtol, p.product.size)
+        vh_core = unflatten(f.vh[: f.rank], p.ranks[:d] + (f.rank,) + p.ranks[d + 1 :], d)
+        ortho.append(_factor_directions(p.factors, vh_core, d, perp))
     basis = np.hstack(ortho)
     expected = mlrank_tangent_dim(p.shape, p.ranks)
     if basis.shape[1] != expected:
@@ -334,7 +341,7 @@ def tensor_from_obj(obj) -> np.ndarray:
         raise ValueError("tensor object must be a mapping with 'shape' and 'data'")
     shape = obj["shape"]
     if not isinstance(shape, (list, tuple)) or not shape or not all(
-        isinstance(n, int) and n > 0 for n in shape
+        isinstance(n, int) and not isinstance(n, bool) and n > 0 for n in shape
     ):
         raise ValueError("'shape' must be a non-empty list of positive integers")
     data = np.asarray(obj["data"], dtype=float)

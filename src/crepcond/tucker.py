@@ -36,6 +36,7 @@ from .tensor import (
     TuckerPoint,
     _factor_directions,
     _kron_chain,
+    _mode_frame,
     flatten,
     hosvd,
     mlrank_tangent_basis,
@@ -75,7 +76,8 @@ class TuckerCrepConfig:
 
     def __post_init__(self):
         out = self.output_variable
-        if out != "core" and not (isinstance(out, (int, np.integer)) and 0 <= out < self.point.order):
+        is_mode = isinstance(out, (int, np.integer)) and not isinstance(out, bool)
+        if out != "core" and not (is_mode and 0 <= out < self.point.order):
             raise ValueError(f"output_variable must be 'core' or a mode in [0, {self.point.order}), got {out!r}")
 
 
@@ -87,6 +89,17 @@ def variable_label(var: int | str) -> str:
 def _polar_retract(m: np.ndarray) -> np.ndarray:
     f = _svd(m)
     return f.u @ f.vh
+
+
+def _skew_generators(m: int) -> np.ndarray:
+    """``(P, m, m)`` stack of the skew ``Omega_p`` with ``U Omega_p`` column ``p`` of the
+    Stiefel chart of :func:`stiefel_tangent_basis`: ``(E_ij - E_ji) / sqrt(2)``, ``i < j``."""
+    j_idx, i_idx = np.tril_indices(m, -1)
+    pairs = np.arange(j_idx.size)
+    omega = np.zeros((j_idx.size, m, m))
+    omega[pairs, i_idx, j_idx] = 1.0 / np.sqrt(2.0)
+    omega[pairs, j_idx, i_idx] = -1.0 / np.sqrt(2.0)
+    return omega
 
 
 def _block_diag(blocks: list[np.ndarray]) -> np.ndarray:
@@ -116,6 +129,7 @@ def build_tucker_crep(config: TuckerCrepConfig) -> tuple[CrepProblem, CrepPoint]
     rtol = config.rtol
     shape, ranks, order = p.shape, p.ranks, p.order
     n_res = p.product.size
+    dim_x = mlrank_tangent_dim(shape, ranks)
     out = "core" if config.output_variable == "core" else int(config.output_variable)
     canonical: list[int | str] = ["core"] + list(range(order))
     z_comps = [c for c in canonical if c != out]
@@ -142,13 +156,40 @@ def build_tucker_crep(config: TuckerCrepConfig) -> tuple[CrepProblem, CrepPoint]
         core, factors = unpack(y_vec, z_vec)
         return np.asarray(x, dtype=float) - multilinear_multiply(factors, core).ravel()
 
-    j_x = _shared_identity(n_res)
-
     def jacobian(x, y_vec, z_vec):
         core, factors = unpack(y_vec, z_vec)
         parts = {d: _factor_directions(factors, core, d, -np.eye(shape[d])) for d in range(order)}
         parts["core"] = -_kron_chain(factors)
-        return j_x, parts[out], np.hstack([parts[c] for c in z_comps])
+        return _shared_identity(n_res), parts[out], np.hstack([parts[c] for c in z_comps])
+
+    def tangent_blocks(x, y_vec, z_vec, r):
+        # Rows are coordinates in q, the x-chart basis at (core, factors) (mlrank_tangent_basis):
+        # row block 0 holds the core directions, block d + 1 perp_d (x) the rows of V_d.T, with
+        # C_(d) = W_d S_d V_d.T.  The core variable maps to [-I; 0]; a skew column U_d Omega of
+        # factor d to -vec(C x_d Omega) in block 0; its horizontal columns to -kron(I, (W_d S_d).T)
+        # in block d + 1.  So j_x = q.T q = I, and q.T r takes one multilinear multiply.
+        core, factors = unpack(y_vec, z_vec)
+        frames = [_mode_frame(factors, core, d, rtol, n_res) for d in range(order)]
+        j_yz = np.zeros((dim_x, dims.dim_y + dims.dim_z))
+        c = col_start["core"]
+        j_yz[: core.size, c : c + core.size] = -np.eye(core.size)
+        for d, (perp, f) in enumerate(frames):
+            c, n_skew, h = col_start[d], skew[d].shape[0], perp.shape[1]
+            rotated = np.tensordot(skew[d], np.moveaxis(core, d, 0), axes=(2, 0))  # Omega_p C_(d)
+            j_yz[: core.size, c : c + n_skew] = -np.moveaxis(rotated, 1, d + 1).reshape(n_skew, core.size).T
+            horizontal = np.zeros((h, ranks[d], h, ranks[d]))
+            horizontal[np.arange(h), :, np.arange(h), :] = -(f.u * f.s).T
+            j_yz[row_start[d] : row_start[d + 1], c + n_skew : c + dim_of[d]] = horizontal.reshape(h * ranks[d], h * ranks[d])
+        qr = None
+        if r is not None:
+            t = multilinear_multiply([np.hstack([u, perp]).T for u, (perp, _) in zip(factors, frames)],
+                                     np.reshape(r, shape))
+            qr = [t[tuple(slice(m) for m in ranks)].ravel()]
+            for d, (perp, f) in enumerate(frames):
+                cut = tuple(slice(m, None) if e == d else slice(m) for e, m in enumerate(ranks))
+                qr.append((np.moveaxis(t[cut], d, 0).reshape(perp.shape[1], f.vh.shape[1]) @ f.vh.T).ravel())
+            qr = np.concatenate(qr)
+        return _shared_identity(dim_x), j_yz[:, : dims.dim_y], j_yz[:, dims.dim_y :], qr
 
     def comp_basis(c, core, factors):
         return _shared_identity(core.size) if c == "core" else stiefel_tangent_basis(factors[c])
@@ -186,9 +227,12 @@ def build_tucker_crep(config: TuckerCrepConfig) -> tuple[CrepProblem, CrepPoint]
             moved.append(retract_comp(c, w[lo:hi], dz[lo:hi]))
         return np.concatenate(moved) if moved else w
 
-    dim_x = mlrank_tangent_dim(shape, ranks)
     dim_of = {c: (int(np.prod(ranks, dtype=int)) if c == "core" else stiefel_tangent_dim(shape[c], ranks[c])) for c in canonical}
     dims = CrepDims(dim_x, dim_of[out], sum(dim_of[c] for c in z_comps), n_res)
+    # Layout of tangent_blocks: columns of [j_y j_z] per variable, rows of q per block.
+    col_start = dict(zip([out] + z_comps, np.cumsum([0] + [dim_of[c] for c in [out] + z_comps]).tolist()))
+    row_start = np.cumsum([dim_of["core"]] + [(n - m) * m for n, m in zip(shape, ranks)]).tolist()
+    skew = [_skew_generators(m) for m in ranks]
 
     x0 = p.product.ravel()
     pack = {c: (p.core if c == "core" else p.factors[c]).ravel() for c in canonical}
@@ -205,6 +249,7 @@ def build_tucker_crep(config: TuckerCrepConfig) -> tuple[CrepProblem, CrepPoint]
         y_retract=y_retract,
         z_retract=z_retract,
         scale=scale,
+        tangent_blocks=tangent_blocks,
     )
     z0 = np.concatenate([pack[c] for c in z_comps]) if z_comps else np.zeros(0)
     point = make_crep_point(problem, x0, pack[out], z0)

@@ -13,13 +13,14 @@ per-instance generators from ``(seed, index)``.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import empirical
 from .crep import (
     JacobianBlocks,
+    chart_blocks,
     condition_numbers,
     condition_numbers_from_blocks,
     defining_equation_residuals,
@@ -414,6 +415,69 @@ def check_scale_covariance(seed=0, alphas=(0.5, 2.0, 10.0), tol=1e-8) -> CheckRe
     return _result("scale covariance", worst, tol, f"alphas {alphas}")
 
 
+def _tangent_block_cases(seed):
+    """Every output variable of one order-3 and one order-4 Tucker instance."""
+    for shape, ranks in (((6, 5, 4), (3, 3, 2)), ((5, 4, 3, 3), (2, 2, 2, 2))):
+        point = random_tucker_point(shape, ranks, (seed, len(shape)))
+        for var in ["core"] + list(range(point.order)):
+            yield build_tucker_crep(TuckerCrepConfig(point, var))
+
+
+def _off_manifold_iterate(problem, pt, seed):
+    """``(x, y, z)`` after one resolver step from a perturbed input: ``F != 0`` there."""
+    u = np.random.default_rng((seed, 5)).standard_normal(problem.dims.dim_x)
+    u *= 1e-3 * problem.scale / float(np.linalg.norm(u))
+    x = problem.x_retract(pt.x, evaluate_blocks(problem, pt)._x_basis @ u)
+    res = empirical.constrained_nearest_solution(problem, pt, x, max_iter=1)
+    return x, res.y, res.z
+
+
+def check_tangent_blocks(seed=0, tol=1e-13) -> CheckResult:
+    """The Tucker ``tangent_blocks`` are the ambient chart blocks in the coordinates
+    of the input tangent basis ``q``: every block column lies in span ``q``, and
+    ``q.T`` gives the hook's blocks, their Gram matrix and its residual, at the
+    reference point and at an off-manifold resolver iterate."""
+    worst = 0.0
+    for problem, pt in _tangent_block_cases(seed):
+        ambient = replace(problem, tangent_blocks=None)
+        for x, y, z in ((pt.x, pt.y, pt.z), _off_manifold_iterate(problem, pt, seed)):
+            r = problem.residual(x, y, z)
+            blocks = chart_blocks(ambient, x - r, y, z)  # x - r: the tensor (y, z) decompose
+            q, full = blocks._x_basis, np.hstack([blocks.j_x, blocks.j_y, blocks.j_z])
+            *hook, qr = problem.tangent_blocks(x, y, z, r)
+            hook = np.hstack(hook)
+            scale, gram = float(np.linalg.norm(full)), full.T @ full
+            worst = max(
+                worst,
+                float(np.linalg.norm(full - q @ (q.T @ full))) / scale,
+                float(np.linalg.norm(hook - q.T @ full)) / scale,
+                float(np.linalg.norm(hook.T @ hook - gram)) / float(np.linalg.norm(gram)),
+                float(np.linalg.norm(qr - q.T @ r)) / max(float(np.linalg.norm(r)), 1e-300),
+            )
+    return _result("tangent blocks equal the ambient chart blocks", worst, tol, "Tucker orders 3 and 4, every variable")
+
+
+_DECISIONS = ("r", "k", "rank_df", "nullity_yz", "samples_checked", "resolve_failures", "passed", "fragile")
+
+
+def check_tangent_block_certificates(seed=0, tol=1e-12) -> CheckResult:
+    """Certifying with the Tucker ``tangent_blocks`` and without them (ambient blocks)
+    gives the same certificate decisions and the same kappas."""
+    worst = 0.0
+    for problem, pt in _tangent_block_cases(seed):
+        with_hook = condition_numbers(problem, pt, n_samples=2, seed=seed)
+        ambient = condition_numbers(replace(problem, tangent_blocks=None), pt, n_samples=2, seed=seed)
+        decisions = [[getattr(r.certificate, f) for f in _DECISIONS] for r in (with_hook, ambient)]
+        if not with_hook.certificate.passed or decisions[0] != decisions[1]:
+            return CheckResult(
+                "certificates with and without tangent blocks", False, np.inf, tol, f"{problem.name}: {decisions}"
+            )
+        for a, b in zip((with_hook.kappa_y, with_hook.kappa_z, with_hook.kappa_yz),
+                        (ambient.kappa_y, ambient.kappa_z, ambient.kappa_yz)):
+            worst = max(worst, abs(a - b) / (1.0 + abs(b)))
+    return _result("certificates with and without tangent blocks", worst, tol, "Tucker orders 3 and 4, every variable")
+
+
 def check_fault_injection(seed=0) -> CheckResult:
     """A deliberately corrupted derivative must be caught by the
     defining-equation residuals."""
@@ -498,6 +562,8 @@ QUICK_CHECKS = [
     lambda seed: check_scale_covariance(seed),
     lambda seed: check_jacobian_consistency(seed),
     lambda seed: check_fault_injection(seed),
+    lambda seed: check_tangent_blocks(seed),
+    lambda seed: check_tangent_block_certificates(seed),
 ]
 
 FULL_EXTRA = [

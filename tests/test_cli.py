@@ -114,6 +114,24 @@ def test_analyze_malformed_spec_exits_1(tmp_path, spec, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"kind": "polar", "x0": NaN}',
+        '{"kind": "matrix_factorization", "m": true, "n": 3, "k_rank": 1}',
+        '{"kind": "tucker", "tensor": {"shape": [2, 2], "data": [1, 0, 0, 1]}, "ranks": [2, 2], '
+        '"output_variable": true}',
+    ],
+)
+def test_analyze_rejects_nan_and_boolean_spec_values(tmp_path, text, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(text)  # Python's json reads NaN and true
+    assert main(["analyze", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 def test_analyze_missing_and_invalid_files(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "nothere.json")]) == 1
     bad = tmp_path / "notjson.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -68,15 +69,43 @@ def test_evaluate_blocks_rejects_infeasible_point():
         evaluate_blocks(problem, bad)
 
 
+def test_non_finite_residual_is_not_feasible():
+    problem, point = linearized_problem(np.eye(2)[:, :1], np.eye(2), np.zeros((2, 0)))
+    # ||r|| > feas_tol is False for a NaN norm; both feasibility checks must still reject it.
+    with pytest.raises(ValueError, match="not feasible"):
+        make_crep_point(problem, [np.nan], point.y, point.z)
+    bad = make_crep_point(problem, point.x, point.y, point.z)
+    object.__setattr__(bad, "x", np.array([np.nan]))
+    with pytest.raises(ValueError, match="not feasible"):
+        evaluate_blocks(problem, bad)
+
+
+def test_tangent_blocks_output_is_checked():
+    problem, point = polar_problem(0.0)
+
+    def hook(shapes):
+        return lambda x, y, z, r: tuple(np.ones(shape) for shape in shapes) + (None if r is None else np.ones(2),)
+
+    good = dataclasses.replace(problem, tangent_blocks=hook([(2, 1)] * 3))
+    assert evaluate_blocks(good, point).j_x.shape == (2, 1)
+    for shapes in ([(2, 1), (2, 1), (2, 2)], [(3, 1)] * 3, [(2, 1), (1, 1), (2, 1)]):
+        with pytest.raises(ValueError, match="tangent blocks"):
+            evaluate_blocks(dataclasses.replace(problem, tangent_blocks=hook(shapes)), point)
+    nan = dataclasses.replace(problem, tangent_blocks=lambda x, y, z, r: (np.full((2, 1), np.nan),) * 3 + (r,))
+    with pytest.raises(ValueError, match="non-finite"):
+        evaluate_blocks(nan, point)
+
+
 def test_tucker_block_dimensions_match_tangent_formulas():
     point = random_tucker_point((4, 3), (2, 2), 21)
     problem, pt = build_tucker_crep(TuckerCrepConfig(point, 0))
     blocks = evaluate_blocks(problem, pt)
     # dim_x from the fixed-rank tangent formula, dim_y/dim_z from Stiefel
-    # tangent dimensions and the core dimension (see the tucker module)
-    assert blocks.j_x.shape == (12, 10)
-    assert blocks.j_y.shape == (12, 5)
-    assert blocks.j_z.shape == (12, 4 + 3)
+    # tangent dimensions and the core dimension (see the tucker module); the
+    # rows are the dim_x coordinates of the input tangent space
+    assert blocks.j_x.shape == (10, 10)
+    assert blocks.j_y.shape == (10, 5)
+    assert blocks.j_z.shape == (10, 4 + 3)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +358,7 @@ def test_kappa_stage_allocates_nothing_of_residual_size_squared():
     point = random_tucker_point((8, 8, 8), (3, 3, 3), 28)
     problem, pt = build_tucker_crep(TuckerCrepConfig(point, 0))
     blocks = evaluate_blocks(problem, pt)
-    n_res = blocks.n_residual
+    n_res = problem.dims.n_residual
     tracemalloc.start()
     try:
         condition_numbers_from_blocks(blocks)
@@ -347,9 +376,10 @@ def test_kappa_stage_factors_jyz_once(case, monkeypatch):
     else:
         blocks = random_linearized_blocks(1)
     shape = (blocks.n_residual, blocks.j_y.shape[1] + blocks.j_z.shape[1])
-    # No other matrix factored in the kappa stage has this shape: (60, 27)
-    # for the Tucker instance, (7, 22) for the wide linearized one.
-    assert shape in ((60, 27), (7, 22))
+    # No other matrix factored in the kappa stage has this shape: (22, 27)
+    # for the Tucker instance (rows in input tangent coordinates, wide), (7, 22)
+    # for the wide linearized one.
+    assert shape in ((22, 27), (7, 22))
     shapes = []
     svd = np.linalg.svd
 
@@ -373,18 +403,25 @@ def _count_calls(problem, names=("jacobian", "x_chart", "y_chart", "z_chart")):
     return counts
 
 
-@pytest.mark.parametrize("case", ["polar", "tucker"])
+@pytest.mark.parametrize("case", ["polar", "tucker", "tucker_ambient"])
 def test_condition_numbers_evaluates_each_point_once(case):
     """The kappa stage reuses the certificate's evaluation of the reference
-    point, and each sample check reuses the resolver's last evaluation."""
+    point, and each sample check reuses the resolver's last evaluation; with
+    tangent_blocks that evaluation holds j_x, so samples build no input chart."""
     if case == "polar":
         problem, point = polar_problem(0.0)
     else:
         problem, point = build_tucker_crep(TuckerCrepConfig(random_tucker_point((5, 3, 4), (2, 3, 2), 0), 0))
-    counts = _count_calls(problem)
+    if case == "tucker_ambient":
+        problem = dataclasses.replace(problem, tangent_blocks=None)
+    hook = problem.tangent_blocks is not None
+    counts = _count_calls(problem, ("jacobian", "x_chart", "y_chart", "z_chart") + ("tangent_blocks",) * hook)
     report = condition_numbers(problem, point, n_samples=0)
     assert report.certificate.passed
-    assert counts == {"jacobian": 1, "x_chart": 1, "y_chart": 1, "z_chart": 1}
+    if hook:
+        assert counts == {"jacobian": 0, "x_chart": 1, "y_chart": 0, "z_chart": 0, "tangent_blocks": 1}
+    else:
+        assert counts == {"jacobian": 1, "x_chart": 1, "y_chart": 1, "z_chart": 1}
     # The same answers as a kappa stage that evaluates the point afresh.
     fresh = condition_numbers(problem, point, certificate=report.certificate)
     assert (fresh.kappa_y, fresh.kappa_z, fresh.kappa_yz) == (report.kappa_y, report.kappa_z, report.kappa_yz)
@@ -392,7 +429,7 @@ def test_condition_numbers_evaluates_each_point_once(case):
     counts.update(dict.fromkeys(counts, 0))
     report = condition_numbers(problem, point, n_samples=2)
     assert report.certificate.passed and report.certificate.samples_checked == 2
-    assert counts["x_chart"] == 1 + report.certificate.samples_checked
+    assert counts["x_chart"] == 1 + (0 if hook else report.certificate.samples_checked)
 
 
 def test_z_chart_invariance():

@@ -22,6 +22,12 @@ def test_polar_requires_input_below_one():
         polar_problem(2.5)
 
 
+@pytest.mark.parametrize("x0", [float("nan"), float("-inf"), float("inf")])
+def test_polar_rejects_non_finite_input(x0):
+    with pytest.raises(ValueError, match="finite"):
+        polar_problem(x0)
+
+
 def test_polar_reference_point_feasible():
     problem, point = polar_problem(0.3)
     assert point.residual_norm <= point.feas_tol
@@ -125,6 +131,11 @@ def test_spec_custom_linearized():
         ({"kind": "tucker", "tensor": "missing.json", "ranks": [2, 2]}, "tensor"),
         ({"kind": "custom_linearized", "J_y": [[1.0]]}, "J_x"),
         ({"kind": "custom_linearized", "J_x": [[1.0]], "J_y": [["a"]]}, "J_"),
+        ({"kind": "polar", "x0": float("nan")}, "x0"),
+        ({"kind": "polar", "x0": False}, "x0"),
+        ({"kind": "matrix_factorization", "m": True, "n": 3, "k_rank": 2}, "'m'"),
+        ({"kind": "matrix_factorization", "m": 4, "n": 3, "k_rank": True}, "k_rank"),
+        ({"kind": "matrix_factorization", "m": 4, "n": 3, "k_rank": 2, "seed": False}, "seed"),
     ],
 )
 def test_spec_errors_name_the_field(spec, field):
@@ -140,3 +151,21 @@ def test_spec_tucker_rank_mismatch(tmp_path):
     with pytest.raises(SpecError) as err:
         problem_from_spec(spec, base_dir=tmp_path)
     assert "multilinear rank" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"output_variable": True}, "output_variable"),
+        ({"output_variable": False}, "output_variable"),
+        ({"ranks": [True, 2]}, "ranks"),
+        ({"tensor": {"shape": [True, 4], "data": [0.0] * 4}}, "shape"),
+    ],
+)
+def test_spec_tucker_rejects_booleans_for_integers(change, message):
+    point = random_tucker_point((4, 3), (2, 2), 12)
+    spec = {"kind": "tucker", "tensor": {"shape": [4, 3], "data": point.product.ravel().tolist()}, "ranks": [2, 2]}
+    problem_from_spec(spec)  # the spec is valid before the change
+    with pytest.raises(SpecError) as err:
+        problem_from_spec({**spec, **change})
+    assert message in str(err.value)

@@ -1,4 +1,6 @@
+import dataclasses
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -15,6 +17,7 @@ from crepcond.crep import (
 from crepcond.linalg import numerical_rank
 from crepcond.problems import matrix_factorization_problem
 from crepcond.tensor import TuckerPoint, flatten
+from crepcond.verify import check_tangent_block_certificates, check_tangent_blocks
 from crepcond.tucker import (
     TuckerCrepConfig,
     build_tucker_crep,
@@ -44,6 +47,8 @@ def test_config_validates_output_variable():
         TuckerCrepConfig(point, 2)
     with pytest.raises(ValueError):
         TuckerCrepConfig(point, "U1")
+    with pytest.raises(ValueError):
+        TuckerCrepConfig(point, True)
 
 
 def test_build_dimensions_factor_output():
@@ -246,11 +251,12 @@ def test_core_output_near_degenerate_gap_pipeline_vs_minnorm():
 
     point = diag_core_point(sigmas=(1.0, 1.0 - 1e-8), seed=90)
     problem, pt = build_tucker_crep(TuckerCrepConfig(point, "core"))
-    blocks = evaluate_blocks(problem, pt)
+    ambient = evaluate_blocks(dataclasses.replace(problem, tangent_blocks=None), pt)
     with pytest.raises(InconsistentSystemError):
-        solution_map_derivative(blocks)
-    dh = solution_map_derivative_minnorm(blocks)
-    assert spectral_norm(dh) == pytest.approx(1.0, rel=1e-8)
+        solution_map_derivative(ambient)
+    for blocks in (ambient, evaluate_blocks(problem, pt)):
+        dh = solution_map_derivative_minnorm(blocks)
+        assert spectral_norm(dh) == pytest.approx(1.0, rel=1e-8)
 
 
 def test_condition_numbers_thread_safe_with_shared_problem():
@@ -289,3 +295,54 @@ def test_identity_input_jacobian_is_shared_and_read_only():
     first, first_pt = cases[0]
     other, pt = build_tucker_crep(TuckerCrepConfig(random_tucker_point((4, 3, 2), (2, 2, 2), 95), "core"))
     assert other.jacobian(pt.x, pt.y, pt.z)[0] is first.jacobian(first_pt.x, first_pt.y, first_pt.z)[0]
+
+
+# ---------------------------------------------------------------------------
+# Blocks in input tangent coordinates (the tangent_blocks hook)
+
+
+@pytest.mark.parametrize("check", [check_tangent_blocks, check_tangent_block_certificates])
+def test_tangent_blocks_agree_with_ambient_blocks(check):
+    result = check(seed=7)
+    assert result.passed, result.line()
+
+
+def test_kernel_rows_of_roundoff_do_not_cut_the_output_derivative():
+    # Rank-one last mode: no gauge rotation of U3, so the output rows of the
+    # kernel of [j_y j_z] are roundoff in tangent coordinates. Cut relative to
+    # their own largest singular value they looked like a direction, and
+    # projecting DH off it gave kappa_y = 0.
+    point = random_tucker_point((4, 3, 2), (2, 2, 1), 5)
+    problem, pt = build_tucker_crep(TuckerCrepConfig(point, 2))
+    report = condition_numbers(problem, pt, n_samples=2)
+    assert report.certificate.passed
+    assert report.kappa_y == pytest.approx(closed_form_kappa_factor(point.core, 2, 2), rel=1e-10)
+
+
+def test_cross_validate_factors_no_residual_sized_matrix(monkeypatch):
+    point = random_tucker_point((6, 5, 4), (3, 3, 2), 96)
+    rows = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        rows.append(np.shape(a)[0])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    cv = cross_validate(point, n_cert_samples=2)
+    assert cv.max_rel_diff < 1e-8
+    assert rows and point.product.size not in rows
+
+
+def test_condition_numbers_peak_memory_below_residual_size_squared():
+    point = random_tucker_point((10, 10, 10), (3, 3, 3), 97)
+    problem, pt = build_tucker_crep(TuckerCrepConfig(point, 0))
+    n_res = problem.dims.n_residual
+    tracemalloc.start()
+    try:
+        report = condition_numbers(problem, pt, n_samples=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.certificate.passed and report.certificate.samples_checked == 2
+    assert peak < n_res**2 * 8
