@@ -41,6 +41,7 @@ from typing import Callable
 import numpy as np
 
 from .linalg import (
+    InconsistentSystemError,
     _is_orthonormal,
     _recut,
     _resolve_rtol,
@@ -267,18 +268,20 @@ def _project(problem: CrepProblem, mat, chart: TangentChart, label: str) -> np.n
     return mat @ chart.basis
 
 
-def _evaluate(problem: CrepProblem, x, y, z, r, charts) -> tuple:
-    """One evaluation at ``(x, y, z)``: ``(j_x, j_y, j_z, q.T r)``, the chart blocks in the
-    residual coordinates ``q.T`` of :class:`CrepProblem`, with ``r`` the ambient residual or None.
+def _evaluate(problem: CrepProblem, x, y, z, r=None, cy=None, cz=None) -> tuple:
+    """One evaluation at ``(x, y, z)``: ``(j_x, j_y, j_z, q.T r)``, the blocks in the residual
+    coordinates ``q.T`` of :class:`CrepProblem`, with ``r`` the ambient residual or None.
 
-    The problem's ``tangent_blocks`` gives all four when it has one, and ``charts`` go unused.
-    Otherwise ``q`` is the identity and the ambient Jacobian is projected onto ``charts``, the
-    x, y and z charts; when the x chart is None, ``j_x`` keeps its ambient columns.
+    ``j_y`` and ``j_z`` are in chart coordinates, of ``cy`` and ``cz`` when given; ``j_x`` is as
+    the problem gives it, and :func:`_x_block` puts it in x-chart coordinates.  The problem's
+    ``tangent_blocks`` gives all four when it has one, and no chart is used.  Otherwise ``q`` is
+    the identity and the ambient Jacobian is projected onto the y and z charts.
     """
     if problem.tangent_blocks is None:
-        ambient = problem.jacobian(x, y, z)
-        blocks = [m if c is None else _project(problem, m, c, label) for m, c, label in zip(ambient, charts, "xyz")]
-        return (*blocks, r)
+        j_x, j_y, j_z = problem.jacobian(x, y, z)
+        cy = problem.y_chart(x, y, z) if cy is None else cy
+        cz = problem.z_chart(x, y, z) if cz is None else cz
+        return j_x, _project(problem, j_y, cy, "y"), _project(problem, j_z, cz, "z"), r
     *blocks, qr = problem.tangent_blocks(x, y, z, r)
     blocks = [as_matrix(m, f"tangent block ({label})") for m, label in zip(blocks, "xyz")]
     rows = blocks[0].shape[0]
@@ -291,15 +294,21 @@ def _evaluate(problem: CrepProblem, x, y, z, r, charts) -> tuple:
     return (*blocks, qr)
 
 
+def _x_block(problem: CrepProblem, j_x, x, y, z, cx=None) -> np.ndarray:
+    """``j_x`` from :func:`_evaluate` at ``(x, y, z)`` in x-chart coordinates: projected onto
+    ``cx`` (default the problem's x chart there) when it has ambient columns."""
+    if problem.tangent_blocks is not None:
+        return j_x
+    return _project(problem, j_x, problem.x_chart(x, y, z) if cx is None else cx, "x")
+
+
 def chart_blocks(problem: CrepProblem, x, y, z) -> JacobianBlocks:
     """Jacobian blocks at ``(x, y, z)`` in chart coordinates: the ambient Jacobians projected
     onto the charts, or the compressed rows of the problem's ``tangent_blocks``."""
     cx = problem.x_chart(x, y, z)
-    charts = (cx, None, None)
-    if problem.tangent_blocks is None:
-        charts = (cx, problem.y_chart(x, y, z), problem.z_chart(x, y, z))
-    j_x, j_y, j_z, _ = _evaluate(problem, x, y, z, None, charts)
-    return JacobianBlocks(j_x=j_x, j_y=j_y, j_z=j_z, _x_basis=cx.basis, _n_ambient=problem.dims.n_residual)
+    j_x, j_y, j_z, _ = _evaluate(problem, x, y, z)
+    return JacobianBlocks(j_x=_x_block(problem, j_x, x, y, z, cx), j_y=j_y, j_z=j_z, _x_basis=cx.basis,
+                          _n_ambient=problem.dims.n_residual)
 
 
 def evaluate_blocks(problem: CrepProblem, point: CrepPoint) -> JacobianBlocks:
@@ -344,10 +353,17 @@ def solution_map_derivative(blocks: JacobianBlocks, rtol: float | None = None) -
     Conditioning caveat: the elimination splits span(j_z) from the joint
     span, so when a direction of j_z lies within distance delta of the
     span of j_y the stacked system has a singular value of order delta
-    even though DH itself may be perfectly conditioned.  For delta near
-    roundoff the consistency check then fails with
-    :class:`crepcond.linalg.InconsistentSystemError`; the min-norm route
-    does not involve this split and stays robust on such instances.
+    even though DH itself may be perfectly conditioned.  Roundoff of
+    relative size ``rtol`` then comes back in DH amplified by the stacked
+    system's condition number, which no residual check sees when that
+    system is square (as on blocks in compressed residual coordinates).
+    So the route raises :class:`crepcond.linalg.InconsistentSystemError`
+    when that condition number exceeds ``1 / sqrt(rtol)`` (the bound
+    ``rtol * cond`` on DH's relative error passes ``sqrt(rtol)``), as well
+    as when the consistency check fails.  Unlike the residual, the
+    condition number is the same in every residual basis that holds the
+    blocks.  The min-norm route does not involve this split and stays
+    robust on such instances.
     """
     j_x, j_y, j_z = blocks.j_x, blocks.j_y, blocks.j_z
     dim_x, dim_y = j_x.shape[1], j_y.shape[1]
@@ -360,6 +376,11 @@ def solution_map_derivative(blocks: JacobianBlocks, rtol: float | None = None) -
         raise RankHypothesisError(
             f"elimination system is rank deficient ({f.rank} < {dim_y}); "
             "the constant-rank hypotheses do not hold at this point"
+        )
+    if f.s[dim_y - 1] < np.sqrt(f.rtol) * f.norm:
+        raise InconsistentSystemError(
+            f"elimination system has condition number {f.norm / f.s[dim_y - 1]:.3e} > 1/sqrt(rtol) = "
+            f"{1.0 / np.sqrt(f.rtol):.3e}; use the min-norm route"
         )
     rhs = np.vstack([-(q.T @ j_x), np.zeros((u_y.shape[1], dim_x))])
     scale = spectral_norm(j_x) + spectral_norm(j_y) + spectral_norm(j_z)
@@ -554,8 +575,7 @@ def certify_crep(
             messages.append(f"sample {i}: re-solve failed ({result.message})")
             continue
         j_x, j_y, j_z, f_yz = result._evaluation  # the resolver's last evaluation
-        if problem.tangent_blocks is None:  # the resolver leaves j_x in ambient columns
-            j_x = _project(problem, j_x, problem.x_chart(x_pert, result.y, result.z), "x")
+        j_x = _x_block(problem, j_x, x_pert, result.y, result.z)
         blocks_i = JacobianBlocks(j_x, j_y, j_z, _yz=f_yz, _n_ambient=dims.n_residual)
         r_i, k_i, rank_df_i, _, gap_i, problems_i = _rank_checks(blocks_i, dims, rtol)
         min_gap = min(min_gap, gap_i)

@@ -59,7 +59,7 @@ class ResolveResult:
     converged: bool
     message: str = ""
     # Private: (j_x, j_y, j_z, SVD of [j_y j_z] without vectors) at (y, z), as crep._evaluate
-    # returns them without an x chart: j_x has ambient columns unless the problem has tangent_blocks.
+    # returns them (crep._x_block puts j_x in x-chart coordinates).
     _evaluation: tuple | None = field(default=None, repr=False, compare=False)
 
 
@@ -117,7 +117,7 @@ def constrained_nearest_solution(
         iterations += 1
         cy = problem.y_chart(x, y, z)
         cz = problem.z_chart(x, y, z)
-        j_x, j_y, j_z, qr = _evaluate(problem, x, y, z, r, (None, cy, cz))
+        j_x, j_y, j_z, qr = _evaluate(problem, x, y, z, r, cy, cz)
         j_yz = np.hstack([j_y, j_z])
         f = _svd(j_yz, rtol, full=j_yz.shape[0] < j_yz.shape[1])
         evaluation = (j_x, j_y, j_z, f._replace(u=None, vh=None))

@@ -36,7 +36,7 @@ import numpy as np
 
 from .crep import CrepDims, CrepPoint, CrepProblem, JacobianBlocks, TangentChart, make_crep_point
 from .linalg import _shared_identity, _svd, as_matrix, orthonormalize, spectral_norm
-from .tensor import load_tensor, multilinear_rank, hosvd, tensor_from_obj
+from .tensor import _is_int, load_tensor, multilinear_rank, hosvd, tensor_from_obj
 from .tucker import TuckerCrepConfig, build_tucker_crep
 
 __all__ = [
@@ -224,16 +224,12 @@ def random_linearized_blocks(seed, max_dim: int = 12, deficient: bool | None = N
 PROBLEM_KINDS = ("polar", "matrix_factorization", "tucker", "custom_linearized")
 
 
-def _is_int(value) -> bool:
-    """JSON integers only: ``bool`` is an ``int`` subclass, but ``true`` is not a number."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _require(spec: dict, field: str, kinds, kind: str):
     if field not in spec:
         raise SpecError(f"field '{field}' is required for kind '{kind}'")
     value = spec[field]
-    if isinstance(value, bool) or not isinstance(value, kinds):
+    kinds = kinds if isinstance(kinds, tuple) else (kinds,)
+    if not any(_is_int(value) if k is int else isinstance(value, k) for k in kinds):
         raise SpecError(f"field '{field}' has the wrong type for kind '{kind}'")
     return value
 

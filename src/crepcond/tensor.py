@@ -336,12 +336,17 @@ def tensor_to_obj(t) -> dict:
     return {"shape": list(t.shape), "data": [float(v) for v in t.ravel()]}
 
 
+def _is_int(value) -> bool:
+    """An integer, but not a ``bool`` (an ``int`` subclass; JSON ``true`` is not a number)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def tensor_from_obj(obj) -> np.ndarray:
     if not isinstance(obj, dict) or "shape" not in obj or "data" not in obj:
         raise ValueError("tensor object must be a mapping with 'shape' and 'data'")
     shape = obj["shape"]
     if not isinstance(shape, (list, tuple)) or not shape or not all(
-        isinstance(n, int) and not isinstance(n, bool) and n > 0 for n in shape
+        _is_int(n) and n > 0 for n in shape
     ):
         raise ValueError("'shape' must be a non-empty list of positive integers")
     data = np.asarray(obj["data"], dtype=float)

@@ -35,6 +35,7 @@ from .linalg import _shared_identity, _svd
 from .tensor import (
     TuckerPoint,
     _factor_directions,
+    _is_int,
     _kron_chain,
     _mode_frame,
     flatten,
@@ -76,8 +77,7 @@ class TuckerCrepConfig:
 
     def __post_init__(self):
         out = self.output_variable
-        is_mode = isinstance(out, (int, np.integer)) and not isinstance(out, bool)
-        if out != "core" and not (is_mode and 0 <= out < self.point.order):
+        if out != "core" and not (_is_int(out) and 0 <= out < self.point.order):
             raise ValueError(f"output_variable must be 'core' or a mode in [0, {self.point.order}), got {out!r}")
 
 

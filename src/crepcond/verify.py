@@ -155,10 +155,12 @@ def _independent_rows(a: np.ndarray) -> list[int]:
 
 
 def _builtin_blocks(seed=0):
+    tucker, tucker_pt = build_tucker_crep(TuckerCrepConfig(random_tucker_point((4, 3), (2, 2), seed), 0))
     cases = [
         polar_problem(0.0),
         matrix_factorization_problem(4, 3, 2, seed=seed),
-        build_tucker_crep(TuckerCrepConfig(random_tucker_point((4, 3), (2, 2), seed), 0)),
+        (tucker, tucker_pt),
+        (replace(tucker, tangent_blocks=None), tucker_pt),  # the ambient Jacobian as well
     ]
     return [evaluate_blocks(problem, pt) for problem, pt in cases]
 

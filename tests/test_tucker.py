@@ -251,12 +251,25 @@ def test_core_output_near_degenerate_gap_pipeline_vs_minnorm():
 
     point = diag_core_point(sigmas=(1.0, 1.0 - 1e-8), seed=90)
     problem, pt = build_tucker_crep(TuckerCrepConfig(point, "core"))
-    ambient = evaluate_blocks(dataclasses.replace(problem, tangent_blocks=None), pt)
+    blocks = evaluate_blocks(problem, pt)
     with pytest.raises(InconsistentSystemError):
-        solution_map_derivative(ambient)
-    for blocks in (ambient, evaluate_blocks(problem, pt)):
-        dh = solution_map_derivative_minnorm(blocks)
-        assert spectral_norm(dh) == pytest.approx(1.0, rel=1e-8)
+        solution_map_derivative(blocks)
+    dh = solution_map_derivative_minnorm(blocks)
+    assert spectral_norm(dh) == pytest.approx(1.0, rel=1e-8)
+
+
+def test_elimination_conditioning_guard_fires_in_every_residual_basis():
+    # The stacked elimination system is square on the tangent blocks, so its
+    # consistency check cannot fail there; its condition number (1.4e8) is the
+    # same with and without the hook.
+    from crepcond.crep import solution_map_derivative
+    from crepcond.linalg import InconsistentSystemError
+
+    point = diag_core_point(sigmas=(1.0, 1.0 - 1e-8), seed=90)
+    problem, pt = build_tucker_crep(TuckerCrepConfig(point, "core"))
+    for p in (problem, dataclasses.replace(problem, tangent_blocks=None)):
+        with pytest.raises(InconsistentSystemError, match="condition number"):
+            solution_map_derivative(evaluate_blocks(p, pt))
 
 
 def test_condition_numbers_thread_safe_with_shared_problem():
