@@ -156,15 +156,18 @@ class CrepProblem:
     solver and sampling tolerances.
 
     ``tangent_blocks(x, y, z, r)``, when given, replaces ``jacobian`` and the
-    charts wherever blocks are evaluated.  It returns ``(j_x, j_y, j_z, qr)``:
-    the blocks in chart coordinates on the right (``j_x = J_x B_x`` and so
-    on, with the bases of ``x_chart``, ``y_chart`` and ``z_chart``) and in
-    the coordinates ``q.T`` of an orthonormal residual basis ``q`` on the
-    left, and ``qr = q.T r`` for the ambient residual ``r`` (None when ``r``
-    is None).  The span of ``q`` must hold every column of the three chart
-    blocks at ``(x, y, z)``; then ``q.T`` keeps their Gram matrix, so every
-    rank, ``DH`` and least-squares step is the ambient one, from matrices
-    with fewer rows.  ``r`` need not lie in that span: the resolver tests
+    y and z charts wherever blocks are evaluated.  It returns
+    ``(j_x, j_y, j_z, qr, y_chart, z_chart)``: the blocks in chart
+    coordinates on the right (``j_x = J_x B_x`` with the basis of
+    ``x_chart``, ``j_y`` and ``j_z`` with the bases of the charts it returns,
+    which are checked like those of ``y_chart`` and ``z_chart``; those two
+    then serve only the ambient reference path) and in the coordinates
+    ``q.T`` of an orthonormal residual basis ``q`` on the left, and
+    ``qr = q.T r`` for the ambient residual ``r`` (None when ``r`` is None).
+    The span of ``q`` must hold every column of the three chart blocks at
+    ``(x, y, z)``; then ``q.T`` keeps their Gram matrix, so every rank,
+    ``DH`` and least-squares step is the ambient one, from matrices with
+    fewer rows.  ``r`` need not lie in that span: the resolver tests
     convergence on the ambient residual and steps with ``qr``.  Default
     rank tolerances stay keyed to the ambient shape (``dims.n_residual``
     rows).  Without the hook, ``q`` is the identity.
@@ -225,9 +228,10 @@ class JacobianBlocks:
     j_x: np.ndarray
     j_y: np.ndarray
     j_z: np.ndarray
-    # Private: the input chart basis (set by chart_blocks), an SVD of [j_y j_z] (see _yz_svd)
+    # Private: the input and output chart bases (set by chart_blocks), an SVD of [j_y j_z] (see _yz_svd)
     # and the ambient residual dimension when the rows are compressed (see _default_rtol).
     _x_basis: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _y_basis: np.ndarray | None = field(default=None, repr=False, compare=False)
     _yz: _Svd | None = field(default=None, repr=False, compare=False)
     _n_ambient: int | None = field(default=None, repr=False, compare=False)
 
@@ -268,21 +272,20 @@ def _project(problem: CrepProblem, mat, chart: TangentChart, label: str) -> np.n
     return mat @ chart.basis
 
 
-def _evaluate(problem: CrepProblem, x, y, z, r=None, cy=None, cz=None) -> tuple:
-    """One evaluation at ``(x, y, z)``: ``(j_x, j_y, j_z, q.T r)``, the blocks in the residual
-    coordinates ``q.T`` of :class:`CrepProblem`, with ``r`` the ambient residual or None.
+def _evaluate(problem: CrepProblem, x, y, z, r=None) -> tuple:
+    """One evaluation at ``(x, y, z)``: ``(j_x, j_y, j_z, q.T r, y_chart, z_chart)``, the blocks
+    in the residual coordinates ``q.T`` of :class:`CrepProblem`, with ``r`` the ambient residual
+    or None, and the charts ``j_y`` and ``j_z`` are in.
 
-    ``j_y`` and ``j_z`` are in chart coordinates, of ``cy`` and ``cz`` when given; ``j_x`` is as
-    the problem gives it, and :func:`_x_block` puts it in x-chart coordinates.  The problem's
-    ``tangent_blocks`` gives all four when it has one, and no chart is used.  Otherwise ``q`` is
-    the identity and the ambient Jacobian is projected onto the y and z charts.
+    ``j_x`` is as the problem gives it, and :func:`_x_block` puts it in x-chart coordinates.  The
+    problem's ``tangent_blocks`` gives all six when it has one.  Otherwise ``q`` is the identity
+    and the ambient Jacobian is projected onto the problem's y and z charts.
     """
     if problem.tangent_blocks is None:
         j_x, j_y, j_z = problem.jacobian(x, y, z)
-        cy = problem.y_chart(x, y, z) if cy is None else cy
-        cz = problem.z_chart(x, y, z) if cz is None else cz
-        return j_x, _project(problem, j_y, cy, "y"), _project(problem, j_z, cz, "z"), r
-    *blocks, qr = problem.tangent_blocks(x, y, z, r)
+        cy, cz = problem.y_chart(x, y, z), problem.z_chart(x, y, z)
+        return j_x, _project(problem, j_y, cy, "y"), _project(problem, j_z, cz, "z"), r, cy, cz
+    *blocks, qr, cy, cz = problem.tangent_blocks(x, y, z, r)
     blocks = [as_matrix(m, f"tangent block ({label})") for m, label in zip(blocks, "xyz")]
     rows = blocks[0].shape[0]
     expected = [(rows, dim) for dim in problem.dims[:3]]
@@ -291,7 +294,11 @@ def _evaluate(problem: CrepProblem, x, y, z, r=None, cy=None, cz=None) -> tuple:
                          f"with at most {problem.dims.n_residual} rows")
     if (qr is None) != (r is None) or (qr is not None and np.shape(qr) != (rows,)):
         raise ValueError(f"tangent blocks return a residual of shape {np.shape(qr)} for {rows} rows")
-    return (*blocks, qr)
+    for chart, v, dim, label in ((cy, y, problem.dims.dim_y, "y"), (cz, z, problem.dims.dim_z, "z")):
+        if not isinstance(chart, TangentChart) or (chart.ambient_dim, chart.dim) != (np.size(v), dim):
+            raise ValueError(f"tangent blocks return a {label} chart that is not a TangentChart of "
+                             f"dimension {dim} in {np.size(v)} ambient coordinates")
+    return (*blocks, qr, cy, cz)
 
 
 def _x_block(problem: CrepProblem, j_x, x, y, z, cx=None) -> np.ndarray:
@@ -306,9 +313,9 @@ def chart_blocks(problem: CrepProblem, x, y, z) -> JacobianBlocks:
     """Jacobian blocks at ``(x, y, z)`` in chart coordinates: the ambient Jacobians projected
     onto the charts, or the compressed rows of the problem's ``tangent_blocks``."""
     cx = problem.x_chart(x, y, z)
-    j_x, j_y, j_z, _ = _evaluate(problem, x, y, z)
+    j_x, j_y, j_z, _, cy, _ = _evaluate(problem, x, y, z)
     return JacobianBlocks(j_x=_x_block(problem, j_x, x, y, z, cx), j_y=j_y, j_z=j_z, _x_basis=cx.basis,
-                          _n_ambient=problem.dims.n_residual)
+                          _y_basis=cy.basis, _n_ambient=problem.dims.n_residual)
 
 
 def evaluate_blocks(problem: CrepProblem, point: CrepPoint) -> JacobianBlocks:
@@ -534,7 +541,6 @@ def certify_crep(
     radius: float | None = None,
     seed: int = 0,
     rtol: float | None = None,
-    solver_tol: float | None = None,
 ) -> RankCertificate:
     """Certify the constant-rank hypotheses at ``point`` and nearby solutions.
 
@@ -567,9 +573,7 @@ def certify_crep(
     resolve_failures = 0
     for i in range(n_samples):
         x_pert = problem.x_retract(point.x, blocks0._x_basis @ (radius * _unit_direction(seed, i, dims.dim_x)))
-        result = empirical.constrained_nearest_solution(
-            problem, point, x_pert, solver_tol=solver_tol
-        )
+        result = empirical.constrained_nearest_solution(problem, point, x_pert)
         if not result.converged:
             resolve_failures += 1
             messages.append(f"sample {i}: re-solve failed ({result.message})")

@@ -84,14 +84,15 @@ def constrained_nearest_solution(
 ) -> ResolveResult:
     """Feasible ``(y, z)`` for input ``x_pert`` locally minimising ``||y - y0||``.
 
-    Each iteration linearises the system once at the current ``(y, z)``,
+    Each iteration evaluates the blocks and charts once at the current ``(y, z)``,
     starting from ``(y0, z0)``, and takes a Newton step with the
     Moore-Penrose inverse, chosen as the kappa stage chooses ``DH``: of the
-    least-squares solutions of ``j_y dy + j_z dz = -r`` (chart coordinates,
-    ``r`` the residual), the one with the smallest new output error
-    ``e + dy``.  With the problem's ``tangent_blocks`` the system is solved
-    in its compressed residual coordinates, which have the same
-    least-squares solutions.  One backtracking rule on the (ambient)
+    least-squares solutions of ``j_y dy + j_z dz = -r`` (coordinates of the
+    y and z charts that evaluation returns, ``r`` the residual), the one with
+    the smallest new output error ``e + dy``.  With the problem's
+    ``tangent_blocks`` the blocks and charts come from that one call and the
+    system is solved in its compressed residual coordinates, which have the
+    same least-squares solutions.  One backtracking rule on the (ambient)
     residual sets the step length.
     The result is converged once the residual is at most ``solver_tol``
     (default ``1e-12 * problem.scale``) and ``||dy||``, at a feasible point
@@ -115,9 +116,7 @@ def constrained_nearest_solution(
     # The line search accepts only finite residuals, so this tests the start.
     while math.isfinite(current):
         iterations += 1
-        cy = problem.y_chart(x, y, z)
-        cz = problem.z_chart(x, y, z)
-        j_x, j_y, j_z, qr = _evaluate(problem, x, y, z, r, cy, cz)
+        j_x, j_y, j_z, qr, cy, cz = _evaluate(problem, x, y, z, r)
         j_yz = np.hstack([j_y, j_z])
         f = _svd(j_yz, rtol, full=j_yz.shape[0] < j_yz.shape[1])
         evaluation = (j_x, j_y, j_z, f._replace(u=None, vh=None))
@@ -162,7 +161,6 @@ def finite_difference_check(
     point: CrepPoint,
     direction,
     steps,
-    solver_tol: float | None = None,
     max_iter: int = 100,
 ) -> list[float]:
     """Relative errors of central differences of the resolver against ``DH``.
@@ -178,8 +176,7 @@ def finite_difference_check(
         raise ValueError("direction must have unit norm in the input chart")
     blocks = evaluate_blocks(problem, point)
     dh = solution_map_derivative_minnorm(blocks)
-    cy = problem.y_chart(point.x, point.y, point.z)
-    predicted = cy.basis @ (dh @ direction)
+    predicted = blocks._y_basis @ (dh @ direction)
     pred_norm = float(np.linalg.norm(predicted))
     errors = []
     for t in steps:
@@ -189,9 +186,7 @@ def finite_difference_check(
         results = []
         for sign in (+1.0, -1.0):
             x_t = problem.x_retract(point.x, blocks._x_basis @ (sign * t * direction))
-            res = constrained_nearest_solution(
-                problem, point, x_t, solver_tol=solver_tol, max_iter=max_iter
-            )
+            res = constrained_nearest_solution(problem, point, x_t, max_iter=max_iter)
             if not res.converged:
                 raise ResolveFailure(f"re-solve failed at step {sign * t:+.3e}: {res.message}")
             results.append(res)
@@ -206,7 +201,6 @@ def empirical_condition(
     radius: float,
     n_samples: int,
     seed: int = 0,
-    solver_tol: float | None = None,
     max_iter: int = 100,
 ) -> EmpiricalEstimate:
     """Estimate the condition number by perturb-and-resolve sampling.
@@ -231,9 +225,7 @@ def empirical_condition(
     n_failed = 0
     for u in directions:
         x_t = problem.x_retract(point.x, blocks._x_basis @ (radius * u))
-        res = constrained_nearest_solution(
-            problem, point, x_t, solver_tol=solver_tol, max_iter=max_iter
-        )
+        res = constrained_nearest_solution(problem, point, x_t, max_iter=max_iter)
         if not res.converged:
             n_failed += 1
             continue

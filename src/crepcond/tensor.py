@@ -208,8 +208,7 @@ def hosvd(t, ranks, rtol: float | None = None) -> TuckerPoint:
             )
         factors.append(f.u[:, :r])
     core = multilinear_multiply([u.T for u in factors], t)
-    product = multilinear_multiply(factors, core)
-    return TuckerPoint(core=core, factors=tuple(factors), product=product)
+    return TuckerPoint(core=core, factors=tuple(factors))
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +231,24 @@ def stiefel_tangent_basis(u) -> np.ndarray:
     then the horizontal directions from :func:`horizontal_tangent_basis`.
     """
     u = _check_orthonormal(u)
-    n, m = u.shape
+    return _stiefel_basis(u, complement_basis(u), _skew_generators(u.shape[1]))
+
+
+def _skew_generators(m: int) -> np.ndarray:
+    """``(P, m, m)`` stack of the skew ``Omega_p = (E_ij - E_ji) / sqrt(2)``, ``i < j``
+    (``j`` slowest): ``U Omega_p`` is skew column ``p`` of :func:`stiefel_tangent_basis`."""
     j_idx, i_idx = np.tril_indices(m, -1)
     pairs = np.arange(j_idx.size)
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    skew = np.zeros((n, m, j_idx.size))
-    skew[:, j_idx, pairs] = u[:, i_idx] * inv_sqrt2
-    skew[:, i_idx, pairs] = -u[:, j_idx] * inv_sqrt2
-    return np.hstack([skew.reshape(n * m, -1), np.kron(complement_basis(u), np.eye(m))])
+    omega = np.zeros((j_idx.size, m, m))
+    omega[pairs, i_idx, j_idx] = 1.0 / math.sqrt(2.0)
+    omega[pairs, j_idx, i_idx] = -1.0 / math.sqrt(2.0)
+    return omega
+
+
+def _stiefel_basis(u: np.ndarray, perp: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """:func:`stiefel_tangent_basis` at ``u`` from ``perp = complement_basis(u)`` and ``_skew_generators(m)``."""
+    n, m = u.shape
+    return np.hstack([(u @ omega).reshape(omega.shape[0], n * m).T, np.kron(perp, np.eye(m))])
 
 
 def horizontal_tangent_basis(u) -> np.ndarray:
@@ -312,13 +321,18 @@ def mlrank_tangent_basis(p: TuckerPoint, rtol: float | None = None) -> np.ndarra
     of the core flattening, and is then orthonormal (rows for singular values
     at or below the block's rank cut at ``rtol`` dropped).
     """
-    ortho = [_kron_chain(p.factors)]
-    for d in range(p.order):
-        perp, f = _mode_frame(p.factors, p.core, d, rtol, p.product.size)
-        vh_core = unflatten(f.vh[: f.rank], p.ranks[:d] + (f.rank,) + p.ranks[d + 1 :], d)
-        ortho.append(_factor_directions(p.factors, vh_core, d, perp))
+    return _mlrank_basis(p.core, p.factors, rtol, p.product.size)
+
+
+def _mlrank_basis(core, factors, rtol: float | None, n_res: int) -> np.ndarray:
+    """:func:`mlrank_tangent_basis` of a decomposition the caller vouches for, ``n_res`` its size."""
+    ortho = [_kron_chain(factors)]
+    for d in range(core.ndim):
+        perp, f = _mode_frame(factors, core, d, rtol, n_res)
+        vh_core = unflatten(f.vh[: f.rank], core.shape[:d] + (f.rank,) + core.shape[d + 1 :], d)
+        ortho.append(_factor_directions(factors, vh_core, d, perp))
     basis = np.hstack(ortho)
-    expected = mlrank_tangent_dim(p.shape, p.ranks)
+    expected = mlrank_tangent_dim([u.shape[0] for u in factors], core.shape)
     if basis.shape[1] != expected:
         raise ValueError(
             f"tangent basis has {basis.shape[1]} columns, expected {expected}; "

@@ -37,13 +37,14 @@ from .tensor import (
     _factor_directions,
     _is_int,
     _kron_chain,
+    _mlrank_basis,
     _mode_frame,
+    _skew_generators,
+    _stiefel_basis,
     flatten,
     hosvd,
-    mlrank_tangent_basis,
     mlrank_tangent_dim,
     multilinear_multiply,
-    stiefel_tangent_basis,
     stiefel_tangent_dim,
 )
 
@@ -89,17 +90,6 @@ def variable_label(var: int | str) -> str:
 def _polar_retract(m: np.ndarray) -> np.ndarray:
     f = _svd(m)
     return f.u @ f.vh
-
-
-def _skew_generators(m: int) -> np.ndarray:
-    """``(P, m, m)`` stack of the skew ``Omega_p`` with ``U Omega_p`` column ``p`` of the
-    Stiefel chart of :func:`stiefel_tangent_basis`: ``(E_ij - E_ji) / sqrt(2)``, ``i < j``."""
-    j_idx, i_idx = np.tril_indices(m, -1)
-    pairs = np.arange(j_idx.size)
-    omega = np.zeros((j_idx.size, m, m))
-    omega[pairs, i_idx, j_idx] = 1.0 / np.sqrt(2.0)
-    omega[pairs, j_idx, i_idx] = -1.0 / np.sqrt(2.0)
-    return omega
 
 
 def _block_diag(blocks: list[np.ndarray]) -> np.ndarray:
@@ -167,7 +157,8 @@ def build_tucker_crep(config: TuckerCrepConfig) -> tuple[CrepProblem, CrepPoint]
         # row block 0 holds the core directions, block d + 1 perp_d (x) the rows of V_d.T, with
         # C_(d) = W_d S_d V_d.T.  The core variable maps to [-I; 0]; a skew column U_d Omega of
         # factor d to -vec(C x_d Omega) in block 0; its horizontal columns to -kron(I, (W_d S_d).T)
-        # in block d + 1.  So j_x = q.T q = I, and q.T r takes one multilinear multiply.
+        # in block d + 1.  So j_x = q.T q = I, and q.T r takes one multilinear multiply.  The
+        # y and z charts are the Stiefel charts from the same complement bases perp_d.
         core, factors = unpack(y_vec, z_vec)
         frames = [_mode_frame(factors, core, d, rtol, n_res) for d in range(order)]
         j_yz = np.zeros((dim_x, dims.dim_y + dims.dim_z))
@@ -189,23 +180,21 @@ def build_tucker_crep(config: TuckerCrepConfig) -> tuple[CrepProblem, CrepPoint]
                 cut = tuple(slice(m, None) if e == d else slice(m) for e, m in enumerate(ranks))
                 qr.append((np.moveaxis(t[cut], d, 0).reshape(perp.shape[1], f.vh.shape[1]) @ f.vh.T).ravel())
             qr = np.concatenate(qr)
-        return _shared_identity(dim_x), j_yz[:, : dims.dim_y], j_yz[:, dims.dim_y :], qr
-
-    def comp_basis(c, core, factors):
-        return _shared_identity(core.size) if c == "core" else stiefel_tangent_basis(factors[c])
+        basis = {c: _stiefel_basis(factors[c], perp, skew[c]) for c, (perp, _) in enumerate(frames)}
+        basis["core"] = _shared_identity(core.size)
+        return (_shared_identity(dim_x), j_yz[:, : dims.dim_y], j_yz[:, dims.dim_y :], qr,
+                TangentChart(comp_size(out), basis[out]),
+                TangentChart(int(z_offsets[-1]), _block_diag([basis[c] for c in z_comps])))
 
     def x_chart(x, y_vec, z_vec):
         core, factors = unpack(y_vec, z_vec)
-        tp = TuckerPoint(core=core, factors=tuple(factors), product=np.asarray(x, dtype=float).reshape(shape))
-        return TangentChart(n_res, mlrank_tangent_basis(tp, rtol))
+        return TangentChart(n_res, _mlrank_basis(core, factors, rtol, n_res))
 
     def y_chart(x, y_vec, z_vec):
-        core, factors = unpack(y_vec, z_vec)
-        return TangentChart(comp_size(out), comp_basis(out, core, factors))
+        return tangent_blocks(x, y_vec, z_vec, None)[4]
 
     def z_chart(x, y_vec, z_vec):
-        core, factors = unpack(y_vec, z_vec)
-        return TangentChart(int(z_offsets[-1]), _block_diag([comp_basis(c, core, factors) for c in z_comps]))
+        return tangent_blocks(x, y_vec, z_vec, None)[5]
 
     def x_retract(x, dx):
         return hosvd((np.asarray(x) + dx).reshape(shape), ranks, rtol).product.ravel()

@@ -446,7 +446,7 @@ def check_tangent_blocks(seed=0, tol=1e-13) -> CheckResult:
             r = problem.residual(x, y, z)
             blocks = chart_blocks(ambient, x - r, y, z)  # x - r: the tensor (y, z) decompose
             q, full = blocks._x_basis, np.hstack([blocks.j_x, blocks.j_y, blocks.j_z])
-            *hook, qr = problem.tangent_blocks(x, y, z, r)
+            *hook, qr = problem.tangent_blocks(x, y, z, r)[:4]
             hook = np.hstack(hook)
             scale, gram = float(np.linalg.norm(full)), full.T @ full
             worst = max(

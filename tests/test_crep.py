@@ -82,18 +82,27 @@ def test_non_finite_residual_is_not_feasible():
 
 def test_tangent_blocks_output_is_checked():
     problem, point = polar_problem(0.0)
+    flat = TangentChart.full(1)
 
-    def hook(shapes):
-        return lambda x, y, z, r: tuple(np.ones(shape) for shape in shapes) + (None if r is None else np.ones(2),)
+    def hook(shapes, cy=flat, cz=flat):
+        return lambda x, y, z, r: (*(np.ones(shape) for shape in shapes), None if r is None else np.ones(2), cy, cz)
 
     good = dataclasses.replace(problem, tangent_blocks=hook([(2, 1)] * 3))
     assert evaluate_blocks(good, point).j_x.shape == (2, 1)
     for shapes in ([(2, 1), (2, 1), (2, 2)], [(3, 1)] * 3, [(2, 1), (1, 1), (2, 1)]):
         with pytest.raises(ValueError, match="tangent blocks"):
             evaluate_blocks(dataclasses.replace(problem, tangent_blocks=hook(shapes)), point)
-    nan = dataclasses.replace(problem, tangent_blocks=lambda x, y, z, r: (np.full((2, 1), np.nan),) * 3 + (r,))
+    # Charts of the wrong dimension or ambient size, or no chart at all, for y and for z.
+    for chart in (TangentChart(1, np.zeros((1, 0))), TangentChart(2, np.eye(2)[:, :1]), np.eye(1)):
+        for charts in ((chart, flat), (flat, chart)):
+            with pytest.raises(ValueError, match="tangent blocks"):
+                evaluate_blocks(dataclasses.replace(problem, tangent_blocks=hook([(2, 1)] * 3, *charts)), point)
+
+    def nan_hook(x, y, z, r):
+        return (np.full((2, 1), np.nan),) * 3 + (r, flat, flat)
+
     with pytest.raises(ValueError, match="non-finite"):
-        evaluate_blocks(nan, point)
+        evaluate_blocks(dataclasses.replace(problem, tangent_blocks=nan_hook), point)
 
 
 def test_tucker_block_dimensions_match_tangent_formulas():
@@ -430,6 +439,8 @@ def test_condition_numbers_evaluates_each_point_once(case):
     report = condition_numbers(problem, point, n_samples=2)
     assert report.certificate.passed and report.certificate.samples_checked == 2
     assert counts["x_chart"] == 1 + (0 if hook else report.certificate.samples_checked)
+    if hook:  # the resolver steps along the charts the tangent blocks return
+        assert counts["y_chart"] == counts["z_chart"] == 0
 
 
 def test_z_chart_invariance():

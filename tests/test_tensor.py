@@ -183,6 +183,14 @@ def test_hosvd_rejects_excessive_rank():
         hosvd(t, (2, 2))
 
 
+def test_hosvd_rejects_non_minimal_truncation():
+    # Truncating rank (2, 2, 2) to (2, 1, 1) leaves a 2 x 1 x 1 core whose
+    # mode-0 flattening has rank 1, so the decomposition is not minimal.
+    point = random_tucker_point((4, 3, 3), (2, 2, 2), 13)
+    with pytest.raises(ValueError, match="not minimal"):
+        hosvd(point.product, (2, 1, 1))
+
+
 def test_hosvd_idempotent_on_exact_rank():
     point = random_tucker_point((4, 3), (2, 2), 11)
     once = hosvd(point.product, (2, 2))

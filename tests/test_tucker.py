@@ -320,6 +320,30 @@ def test_tangent_blocks_agree_with_ambient_blocks(check):
     assert result.passed, result.line()
 
 
+def test_resolver_iterate_takes_one_complement_basis_per_factor(monkeypatch):
+    # Each iterate asks the hook once for blocks and charts, and its Stiefel
+    # charts come from the complement bases the blocks were built from.
+    from crepcond import empirical, tensor
+
+    point = random_tucker_point((6, 5, 4), (3, 3, 2), 96)
+    problem, pt = build_tucker_crep(TuckerCrepConfig(point, 0))
+    u = np.random.default_rng(97).standard_normal(problem.dims.dim_x)
+    x = problem.x_retract(pt.x, evaluate_blocks(problem, pt)._x_basis @ (1e-4 * problem.scale * u / np.linalg.norm(u)))
+    counts = {"tangent_blocks": 0, "complement_basis": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+        return call
+
+    problem = dataclasses.replace(problem, tangent_blocks=counted("tangent_blocks", problem.tangent_blocks))
+    monkeypatch.setattr(tensor, "complement_basis", counted("complement_basis", tensor.complement_basis))
+    res = empirical.constrained_nearest_solution(problem, pt, x)
+    assert res.converged and res.iterations >= 2
+    assert counts == {"tangent_blocks": res.iterations, "complement_basis": res.iterations * point.order}
+
+
 def test_kernel_rows_of_roundoff_do_not_cut_the_output_derivative():
     # Rank-one last mode: no gauge rotation of U3, so the output rows of the
     # kernel of [j_y j_z] are roundoff in tangent coordinates. Cut relative to
