@@ -29,8 +29,8 @@ from . import __version__, verify
 from .crep import CertificationError, ConditionReport, RankHypothesisError, condition_numbers
 from .empirical import EmpiricalEstimate, empirical_condition
 from .linalg import InconsistentSystemError
-from .problems import SpecError, problem_from_spec
-from .tensor import load_tensor, multilinear_rank, hosvd
+from .problems import SpecError, _tucker_point_from_inputs, problem_from_spec
+from .tensor import load_tensor
 from .tucker import (
     closed_form_kappa_core,
     closed_form_kappa_factor,
@@ -208,15 +208,12 @@ def cmd_tucker(args) -> int:
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: cannot load tensor {args.tensor}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if len(ranks) != tensor.ndim:
-        print(f"error: tensor has order {tensor.ndim} but {len(ranks)} ranks were given", file=sys.stderr)
-        return EXIT_USAGE
-    actual = multilinear_rank(tensor, rtol)
-    if actual != ranks:
-        print(f"error: tensor has multilinear rank {actual}, requested {ranks}", file=sys.stderr)
+    try:
+        point = _tucker_point_from_inputs(tensor, ranks, rtol)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    point = hosvd(tensor, ranks, rtol)
     variables: list[int | str] = list(range(point.order))
     if args.all_variables:
         variables = ["core"] + variables

@@ -142,7 +142,11 @@ class CrepProblem:
 
     ``residual(x, y, z)`` returns ``F(x, y, z) - c`` as a vector of length
     ``dims.n_residual``; ``jacobian(x, y, z)`` returns the three ambient
-    partial-derivative matrices.  The chart providers return a
+    partial-derivative matrices, with ``None`` for the input one when it is
+    the identity (the input lives in the residual space, as in ``x - Y Z``):
+    ``j_x`` in chart coordinates is then the x-chart basis itself, whose
+    ambient dimension must be ``dims.n_residual``, and no
+    ``n_residual x n_residual`` matrix is built.  The chart providers return a
     :class:`TangentChart` of the respective manifold at the given point.
     Retractions map an ambient tangent displacement back to the manifold
     and default to flat addition.
@@ -262,14 +266,20 @@ class JacobianBlocks:
 
 def _project(problem: CrepProblem, mat, chart: TangentChart, label: str) -> np.ndarray:
     """Ambient Jacobian block ``mat`` of variable ``label`` in chart coordinates, after the
-    checks every block gets: finite entries, ambient shape and declared chart dimension."""
-    mat = as_matrix(mat, f"ambient jacobian ({label})")
-    if mat.shape != (problem.dims.n_residual, chart.ambient_dim):
-        raise ValueError(f"ambient jacobian ({label}) has shape {mat.shape}, expected "
-                         f"({problem.dims.n_residual}, {chart.ambient_dim})")
+    checks every block gets: finite entries, ambient shape and declared chart dimension.
+    ``mat`` None is the identity (see :class:`CrepProblem`), which maps to the chart basis."""
+    if mat is None:
+        if chart.ambient_dim != problem.dims.n_residual:
+            raise ValueError(f"ambient jacobian ({label}) is the identity, but the {label} chart has "
+                             f"{chart.ambient_dim} ambient coordinates for {problem.dims.n_residual} residuals")
+    else:
+        mat = as_matrix(mat, f"ambient jacobian ({label})")
+        if mat.shape != (problem.dims.n_residual, chart.ambient_dim):
+            raise ValueError(f"ambient jacobian ({label}) has shape {mat.shape}, expected "
+                             f"({problem.dims.n_residual}, {chart.ambient_dim})")
     if chart.dim != problem.dims["xyz".index(label)]:
         raise ValueError(f"{label} chart has dimension {chart.dim}, declared dims are {tuple(problem.dims)}")
-    return mat @ chart.basis
+    return chart.basis if mat is None else mat @ chart.basis
 
 
 def _evaluate(problem: CrepProblem, x, y, z, r=None) -> tuple:
@@ -549,12 +559,15 @@ def certify_crep(
     and re-solving for ``(y, z)`` with the constrained resolver.  The
     certificate fails if any rank check fails, if the ranks vary across
     samples, or if no perturbed sample could be re-solved.  Re-solve
-    failures are counted and the sample is skipped.
+    failures are counted and the sample is skipped.  ``radius`` must be
+    finite and positive: at radius 0 every sample is the reference point.
     """
     if n_samples < 0:
         raise ValueError("n_samples must be nonnegative")
     if radius is None:
         radius = 1e-4 * problem.scale
+    if not (np.isfinite(radius) and radius > 0.0):
+        raise ValueError(f"radius must be finite and positive, got {radius}")
     dims = problem.dims
     if rtol is None:
         rtol = default_rtol((dims.n_residual, dims.dim_x + dims.dim_y + dims.dim_z))

@@ -252,7 +252,7 @@ def jacobian_consistency_check(
     For seeded random ambient directions ``d`` and each step ``t``, returns
     ``||(F(p + t d) - F(p - t d)) / 2t - DF(p) d||``.  The errors shrink
     like ``t**2`` until roundoff dominates.  One list of errors (one per
-    step) is returned per direction.
+    step) is returned per direction.  A ``None`` input Jacobian is the identity.
     """
     x0, y0, z0 = point.x, point.y, point.z
     jx_a, jy_a, jz_a = problem.jacobian(x0, y0, z0)
@@ -263,7 +263,7 @@ def jacobian_consistency_check(
         d = rng.standard_normal(nx + ny + z0.size)
         d /= float(np.linalg.norm(d))
         dx, dy, dz = d[:nx], d[nx : nx + ny], d[nx + ny :]
-        analytic = jx_a @ dx + jy_a @ dy + jz_a @ dz
+        analytic = (dx if jx_a is None else jx_a @ dx) + jy_a @ dy + jz_a @ dz
         per_step = []
         for t in steps:
             plus = problem.residual(x0 + t * dx, y0 + t * dy, z0 + t * dz)

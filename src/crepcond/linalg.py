@@ -17,8 +17,6 @@ Callers must compare subspaces, not entries; see :func:`subspace_distance`.
 
 from __future__ import annotations
 
-import threading
-import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -39,8 +37,6 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
-_IDENTITIES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-_IDENTITIES_LOCK = threading.Lock()
 
 
 class InconsistentSystemError(ValueError):
@@ -60,16 +56,6 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if m.size and not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains non-finite entries")
     return m
-
-
-def _shared_identity(n: int) -> np.ndarray:
-    """Read-only ``n x n`` identity, one per size, freed when no one holds it."""
-    with _IDENTITIES_LOCK:
-        eye = _IDENTITIES.get(n)
-        if eye is None:
-            eye = _IDENTITIES[n] = np.eye(n)
-            eye.flags.writeable = False
-    return eye
 
 
 def _resolve_rtol(rtol: float | None, shape: tuple[int, int]) -> float:

@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .crep import CrepDims, CrepPoint, CrepProblem, JacobianBlocks, TangentChart, make_crep_point
-from .linalg import _shared_identity, _svd, as_matrix, orthonormalize, spectral_norm
+from .linalg import _svd, as_matrix, orthonormalize, spectral_norm
 from .tensor import _is_int, load_tensor, multilinear_rank, hosvd, tensor_from_obj
 from .tucker import TuckerCrepConfig, build_tucker_crep
 
@@ -116,12 +116,11 @@ def matrix_factorization_problem(m: int, n: int, k_rank: int, seed: int = 0) -> 
     z_ref = rng.standard_normal((k_rank, n))
     x_ref = y_ref @ z_ref
     dim_x = (m + n - k_rank) * k_rank
-    j_x = _shared_identity(m * n)
 
-    def jacobian(x, y, z):
+    def jacobian(x, y, z):  # dF/dx is the identity, given as None (see CrepProblem)
         y_mat = y.reshape(m, k_rank)
         z_mat = z.reshape(k_rank, n)
-        return j_x, -np.kron(np.eye(m), z_mat.T), -np.kron(y_mat, np.eye(n))
+        return None, -np.kron(np.eye(m), z_mat.T), -np.kron(y_mat, np.eye(n))
 
     def residual(x, y, z):
         return x - (y.reshape(m, k_rank) @ z.reshape(k_rank, n)).ravel()
@@ -324,13 +323,14 @@ def _parse_output_variable(value, order: int):
     return idx
 
 
-def _tucker_point_from_inputs(tensor: np.ndarray, ranks):
+def _tucker_point_from_inputs(tensor: np.ndarray, ranks, rtol: float | None = None):
+    """The HOSVD of ``tensor`` at ``ranks``, after checking they are its multilinear rank at ``rtol``."""
     if not isinstance(ranks, (list, tuple)) or not all(_is_int(r) and r > 0 for r in ranks):
         raise ValueError("'ranks' must be a list of positive integers")
     ranks = tuple(ranks)
     if len(ranks) != tensor.ndim:
         raise ValueError(f"'ranks' has {len(ranks)} entries but the tensor has order {tensor.ndim}")
-    actual = multilinear_rank(tensor)
+    actual = multilinear_rank(tensor, rtol)
     if actual != ranks:
         raise ValueError(f"tensor has multilinear rank {actual}, requested {ranks}")
-    return hosvd(tensor, ranks)
+    return hosvd(tensor, ranks, rtol)

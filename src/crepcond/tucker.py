@@ -31,7 +31,7 @@ from .crep import (
     condition_numbers,
     make_crep_point,
 )
-from .linalg import _shared_identity, _svd
+from .linalg import _svd
 from .tensor import (
     TuckerPoint,
     _factor_directions,
@@ -146,11 +146,11 @@ def build_tucker_crep(config: TuckerCrepConfig) -> tuple[CrepProblem, CrepPoint]
         core, factors = unpack(y_vec, z_vec)
         return np.asarray(x, dtype=float) - multilinear_multiply(factors, core).ravel()
 
-    def jacobian(x, y_vec, z_vec):
+    def jacobian(x, y_vec, z_vec):  # dF/dx is the identity, given as None (see CrepProblem)
         core, factors = unpack(y_vec, z_vec)
         parts = {d: _factor_directions(factors, core, d, -np.eye(shape[d])) for d in range(order)}
         parts["core"] = -_kron_chain(factors)
-        return _shared_identity(n_res), parts[out], np.hstack([parts[c] for c in z_comps])
+        return None, parts[out], np.hstack([parts[c] for c in z_comps])
 
     def tangent_blocks(x, y_vec, z_vec, r):
         # Rows are coordinates in q, the x-chart basis at (core, factors) (mlrank_tangent_basis):
@@ -181,8 +181,8 @@ def build_tucker_crep(config: TuckerCrepConfig) -> tuple[CrepProblem, CrepPoint]
                 qr.append((np.moveaxis(t[cut], d, 0).reshape(perp.shape[1], f.vh.shape[1]) @ f.vh.T).ravel())
             qr = np.concatenate(qr)
         basis = {c: _stiefel_basis(factors[c], perp, skew[c]) for c, (perp, _) in enumerate(frames)}
-        basis["core"] = _shared_identity(core.size)
-        return (_shared_identity(dim_x), j_yz[:, : dims.dim_y], j_yz[:, dims.dim_y :], qr,
+        basis["core"] = np.eye(core.size)
+        return (np.eye(dim_x), j_yz[:, : dims.dim_y], j_yz[:, dims.dim_y :], qr,
                 TangentChart(comp_size(out), basis[out]),
                 TangentChart(int(z_offsets[-1]), _block_diag([basis[c] for c in z_comps])))
 

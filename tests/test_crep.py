@@ -105,6 +105,17 @@ def test_tangent_blocks_output_is_checked():
         evaluate_blocks(dataclasses.replace(problem, tangent_blocks=nan_hook), point)
 
 
+def test_identity_input_jacobian_needs_an_x_chart_in_the_residual_space():
+    """A None input Jacobian is the identity, so the x chart must live in the
+    residual space; the polar input chart has 1 ambient coordinate for 2 residuals."""
+    problem, point = polar_problem(0.0)
+    bad = dataclasses.replace(problem, jacobian=lambda x, y, z: (None, *problem.jacobian(x, y, z)[1:]))
+    with pytest.raises(ValueError, match="identity"):
+        evaluate_blocks(bad, point)
+    with pytest.raises(ValueError, match="identity"):
+        certify_crep(bad, point, n_samples=1)
+
+
 def test_tucker_block_dimensions_match_tangent_formulas():
     point = random_tucker_point((4, 3), (2, 2), 21)
     problem, pt = build_tucker_crep(TuckerCrepConfig(point, 0))
@@ -284,6 +295,16 @@ def test_certify_matrix_factorization_gauge_dimension():
     assert cert.nullity_yz == 4  # k_rank ** 2 degrees of gauge freedom
 
 
+@pytest.mark.parametrize("radius", [0.0, -1e-4, np.nan, np.inf])
+def test_certify_rejects_a_radius_that_is_not_finite_and_positive(radius):
+    # At radius 0 every "nearby" sample is the reference point, so a certificate would be vacuous.
+    problem, point = polar_problem(0.0)
+    with pytest.raises(ValueError, match="radius must be finite and positive"):
+        certify_crep(problem, point, n_samples=2, radius=radius)
+    with pytest.raises(ValueError, match="radius must be finite and positive"):
+        condition_numbers(problem, point, n_samples=2, radius=radius)
+
+
 def test_certify_rejects_rank_drop_at_origin():
     # x = y * z with the reference solution at the origin: the rank of the
     # z partial vanishes there but not nearby, so this is not constant rank.
@@ -453,10 +474,11 @@ def test_z_chart_invariance():
         u, _ = np.linalg.qr(rng.standard_normal((blocks.j_z.shape[1], blocks.j_z.shape[1])))
         v, _ = np.linalg.qr(rng.standard_normal((blocks.j_z.shape[1], blocks.j_z.shape[1])))
         s = (u * np.exp(rng.uniform(-3.45, 3.45, blocks.j_z.shape[1]))) @ v.T  # cond <= 1e3
-        dh_s = solution_map_derivative(
-            JacobianBlocks(j_x=blocks.j_x, j_y=blocks.j_y, j_z=blocks.j_z @ s)
-        )
-        assert np.linalg.norm(dh - dh_s) <= 1e-9 * (1 + np.linalg.norm(dh))
+        scaled = JacobianBlocks(j_x=blocks.j_x, j_y=blocks.j_y, j_z=blocks.j_z @ s)
+        assert np.linalg.norm(dh - solution_map_derivative(scaled)) <= 1e-9 * (1 + np.linalg.norm(dh))
+        # the production route, which the kappa stage and the resolver use
+        dh_m = solution_map_derivative_minnorm(blocks)
+        assert np.linalg.norm(dh_m - solution_map_derivative_minnorm(scaled)) <= 1e-9 * (1 + np.linalg.norm(dh_m))
 
 
 def test_xy_chart_equivariance():

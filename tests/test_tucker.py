@@ -10,6 +10,7 @@ from crepcond.crep import (
     CertificationError,
     RankHypothesisError,
     certify_crep,
+    chart_blocks,
     condition_numbers,
     evaluate_blocks,
     solution_map_derivative,
@@ -294,20 +295,31 @@ def test_condition_numbers_thread_safe_with_shared_problem():
         assert a.certificate == b.certificate
 
 
-def test_identity_input_jacobian_is_shared_and_read_only():
+def test_identity_input_jacobian_is_none_and_maps_to_the_x_chart_basis():
     cases = [
         build_tucker_crep(TuckerCrepConfig(random_tucker_point((4, 3, 2), (2, 2, 2), 93), 1)),
         matrix_factorization_problem(4, 3, 2, seed=94),
     ]
     for problem, pt in cases:
-        j_x = problem.jacobian(pt.x, pt.y, pt.z)[0]
-        np.testing.assert_array_equal(j_x, np.eye(pt.x.size))
-        assert not j_x.flags.writeable
-        assert problem.jacobian(pt.x, pt.y, pt.z)[0] is j_x
-    # problems of one residual size hold one identity between them
-    first, first_pt = cases[0]
-    other, pt = build_tucker_crep(TuckerCrepConfig(random_tucker_point((4, 3, 2), (2, 2, 2), 95), "core"))
-    assert other.jacobian(pt.x, pt.y, pt.z)[0] is first.jacobian(first_pt.x, first_pt.y, first_pt.z)[0]
+        assert problem.jacobian(pt.x, pt.y, pt.z)[0] is None
+        ambient = dataclasses.replace(problem, tangent_blocks=None)
+        blocks = chart_blocks(ambient, pt.x, pt.y, pt.z)
+        np.testing.assert_array_equal(blocks.j_x, problem.x_chart(pt.x, pt.y, pt.z).basis)
+
+
+def test_ambient_tucker_blocks_allocate_nothing_of_residual_size_squared():
+    point = random_tucker_point((10, 10, 10), (3, 3, 3), 98)
+    problem, pt = build_tucker_crep(TuckerCrepConfig(point, 0))
+    ambient = dataclasses.replace(problem, tangent_blocks=None)
+    n_res = problem.dims.n_residual
+    tracemalloc.start()
+    try:
+        blocks = evaluate_blocks(ambient, pt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert blocks.j_x.shape == (n_res, problem.dims.dim_x)
+    assert peak < n_res**2 * 8
 
 
 # ---------------------------------------------------------------------------
