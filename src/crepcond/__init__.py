@@ -79,6 +79,7 @@ from .tucker import (
     build_tucker_crep,
     closed_form_kappa_core,
     closed_form_kappa_factor,
+    closed_form_kappas,
     cross_validate,
     expected_kappa_all,
     random_orthogonal,

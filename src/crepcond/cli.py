@@ -18,6 +18,7 @@ default rank tolerance when ``--rtol`` is not given.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -31,13 +32,7 @@ from .empirical import EmpiricalEstimate, empirical_condition
 from .linalg import InconsistentSystemError
 from .problems import SpecError, _tucker_point_from_inputs, problem_from_spec
 from .tensor import load_tensor
-from .tucker import (
-    closed_form_kappa_core,
-    closed_form_kappa_factor,
-    cross_validate,
-    expected_kappa_all,
-    variable_label,
-)
+from .tucker import closed_form_kappas, cross_validate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -62,47 +57,27 @@ def build_report(
     rtol: float | None,
     timing_seconds: float,
 ) -> dict:
-    cert = report.certificate
+    # Every field of the two records is written, so report_schema.json must list it.
+    certificate = dataclasses.asdict(report.certificate)
+    certificate["min_gap"] = _json_float(certificate["min_gap"])
+    if empirical is not None:
+        empirical = dataclasses.asdict(empirical)
+        empirical["max_ratio"] = _json_float(empirical["max_ratio"])
     return {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
         "seed": seed,
         "rtol": rtol,
         "problem": {"name": problem_name, "spec": spec},
-        "dims": {
-            "dim_x": dims.dim_x,
-            "dim_y": dims.dim_y,
-            "dim_z": dims.dim_z,
-            "n_residual": dims.n_residual,
-        },
+        "dims": dict(zip(("dim_x", "dim_y", "dim_z", "n_residual"), dims)),
         "condition": {
             "kappa_y": _json_float(report.kappa_y),
             "kappa_z": _json_float(report.kappa_z),
             "kappa_yz": _json_float(report.kappa_yz),
-            "dh": None if report.dh is None else [[float(v) for v in row] for row in report.dh],
+            "dh": None if report.dh is None else report.dh.tolist(),
         },
-        "certificate": {
-            "passed": cert.passed,
-            "r": cert.r,
-            "k": cert.k,
-            "rank_df": cert.rank_df,
-            "nullity_yz": cert.nullity_yz,
-            "samples_checked": cert.samples_checked,
-            "resolve_failures": cert.resolve_failures,
-            "tolerance": float(cert.tolerance),
-            "fragile": cert.fragile,
-            "min_gap": _json_float(cert.min_gap),
-            "messages": list(cert.messages),
-        },
-        "empirical": None
-        if empirical is None
-        else {
-            "radius": empirical.radius,
-            "n_samples": empirical.n_samples,
-            "max_ratio": _json_float(empirical.max_ratio),
-            "seed": empirical.seed,
-            "n_failed": empirical.n_failed,
-        },
+        "certificate": certificate,
+        "empirical": empirical,
         "timing_seconds": timing_seconds,
     }
 
@@ -214,10 +189,6 @@ def cmd_tucker(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    variables: list[int | str] = list(range(point.order))
-    if args.all_variables:
-        variables = ["core"] + variables
-
     cross = None
     if args.cross_validate:
         try:
@@ -225,28 +196,20 @@ def cmd_tucker(args) -> int:
         except (CertificationError, RankHypothesisError, InconsistentSystemError) as exc:
             print(f"error: cross-validation failed: {exc}", file=sys.stderr)
             return EXIT_CERTIFICATE
-        general = {e.variable: e.kappa_general for e in cross.entries}
+        # label -> (closed form, general pipeline, relative difference)
+        rows = {e.variable: (e.kappa_closed, e.kappa_general, e.rel_diff) for e in cross.entries}
+        rows["all"] = (cross.kappa_all_expected, cross.kappa_all_general, cross.rel_diff_all)
+    else:
+        rows = {label: (kappa,) for label, kappa in closed_form_kappas(point, rtol).items()}
 
     header = f"{'variable':<10} {'kappa_closed':>16}"
     if cross is not None:
         header += f" {'kappa_general':>16} {'rel_diff':>10}"
     print(header)
-    for var in variables:
-        closed = (
-            closed_form_kappa_core()
-            if var == "core"
-            else closed_form_kappa_factor(point.core, var, point.shape[var], rtol)
-        )
-        line = f"{variable_label(var):<10} {closed:>16.9g}"
-        if cross is not None:
-            g = general[variable_label(var)]
-            line += f" {g:>16.9g} {abs(g - closed) / (1.0 + closed):>10.2e}"
-        print(line)
-    combined = expected_kappa_all(point, rtol)
-    line = f"{'all':<10} {combined:>16.9g}"
-    if cross is not None:
-        line += f" {cross.kappa_all_general:>16.9g} {cross.rel_diff_all:>10.2e}"
-    print(line)
+    for label, row in rows.items():
+        if args.all_variables or label != "core":
+            general = f" {row[1]:>16.9g} {row[2]:>10.2e}" if cross is not None else ""
+            print(f"{label:<10} {row[0]:>16.9g}{general}")
 
     if cross is not None:
         print(f"max relative difference: {cross.max_rel_diff:.3e}")
@@ -259,6 +222,15 @@ def cmd_verify(args) -> int:
     n_failed = sum(not r.passed for r in results)
     print(f"{len(results) - n_failed}/{len(results)} checks passed")
     return EXIT_OK if n_failed == 0 else EXIT_CERTIFICATE
+
+
+def _seed(text: str) -> int:
+    try:
+        if (seed := int(text)) >= 0:
+            return seed
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -278,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze = sub.add_parser("analyze", help="certify a problem spec and compute its condition numbers")
     p_analyze.add_argument("spec", help="path to a JSON problem spec")
     p_analyze.add_argument("--rtol", type=float, default=None, help="relative rank tolerance")
-    p_analyze.add_argument("--seed", type=int, default=0, help="seed for certification and sampling")
+    p_analyze.add_argument("--seed", type=_seed, default=0, help="seed for certification and sampling")
     p_analyze.add_argument("--empirical", metavar="N:RADIUS", default=None,
                            help="also run perturb-and-resolve estimation with N samples at RADIUS")
     p_analyze.add_argument("--json", metavar="PATH", default=None, help="write the JSON report here")
@@ -288,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tucker.add_argument("tensor", help="path to a tensor JSON file {shape, data}")
     p_tucker.add_argument("--ranks", required=True, help="comma-separated multilinear rank, e.g. 2,2")
     p_tucker.add_argument("--rtol", type=float, default=None, help="relative rank tolerance")
-    p_tucker.add_argument("--seed", type=int, default=0, help="seed for cross-validation certificates")
+    p_tucker.add_argument("--seed", type=_seed, default=0, help="seed for cross-validation certificates")
     p_tucker.add_argument("--all-variables", action="store_true", help="include the core row in the table")
     p_tucker.add_argument("--cross-validate", action="store_true",
                           help="also compute each value with the general pipeline and compare")
@@ -296,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the invariant verification suites")
     p_verify.add_argument("--suite", choices=sorted(verify.SUITES), default="quick")
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=_seed, default=0)
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

@@ -659,28 +659,25 @@ def condition_numbers(
     point: CrepPoint,
     rtol: float | None = None,
     *,
-    certificate: RankCertificate | None = None,
     n_samples: int = 4,
     radius: float | None = None,
     seed: int = 0,
 ) -> ConditionReport:
     """Certify ``point`` and compute the condition numbers of the problem.
 
-    A pre-computed certificate skips re-certification, not the evaluation of
-    the point.  When certification fails the report carries the failed
-    certificate and ``None`` condition numbers instead of numeric sentinels.
+    The kappa stage reuses the certificate's evaluation of ``point``.  When
+    certification fails the report carries the failed certificate and
+    ``None`` condition numbers instead of numeric sentinels.
     """
     evaluated: list[JacobianBlocks] = []
-    if certificate is None:
-        token = _REFERENCE_BLOCKS.set(evaluated)
-        try:
-            certificate = certify_crep(problem, point, n_samples=n_samples, radius=radius, seed=seed, rtol=rtol)
-        finally:
-            _REFERENCE_BLOCKS.reset(token)
+    token = _REFERENCE_BLOCKS.set(evaluated)
+    try:
+        certificate = certify_crep(problem, point, n_samples=n_samples, radius=radius, seed=seed, rtol=rtol)
+    finally:
+        _REFERENCE_BLOCKS.reset(token)
     if not certificate.passed:
         return ConditionReport(kappa_y=None, kappa_z=None, kappa_yz=None, dh=None, certificate=certificate)
-    blocks = evaluated[0] if evaluated else evaluate_blocks(problem, point)
-    kappa_y, kappa_z, kappa_yz, dh = condition_numbers_from_blocks(blocks, rtol)
+    kappa_y, kappa_z, kappa_yz, dh = condition_numbers_from_blocks(evaluated[0], rtol)
     return ConditionReport(
         kappa_y=kappa_y, kappa_z=kappa_z, kappa_yz=kappa_yz, dh=dh, certificate=certificate
     )

@@ -201,7 +201,6 @@ def empirical_condition(
     radius: float,
     n_samples: int,
     seed: int = 0,
-    max_iter: int = 100,
 ) -> EmpiricalEstimate:
     """Estimate the condition number by perturb-and-resolve sampling.
 
@@ -225,7 +224,7 @@ def empirical_condition(
     n_failed = 0
     for u in directions:
         x_t = problem.x_retract(point.x, blocks._x_basis @ (radius * u))
-        res = constrained_nearest_solution(problem, point, x_t, max_iter=max_iter)
+        res = constrained_nearest_solution(problem, point, x_t)
         if not res.converged:
             n_failed += 1
             continue

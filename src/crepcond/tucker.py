@@ -55,6 +55,7 @@ __all__ = [
     "build_tucker_crep",
     "closed_form_kappa_core",
     "closed_form_kappa_factor",
+    "closed_form_kappas",
     "cross_validate",
     "random_orthogonal",
     "random_stiefel",
@@ -268,14 +269,20 @@ def closed_form_kappa_core() -> float:
     return 1.0
 
 
-def expected_kappa_all(point: TuckerPoint, rtol: float | None = None) -> float:
-    """Condition number of solving for all variables combined: the maximum
-    of the individual closed forms (with the core contributing 1)."""
-    kappas = [closed_form_kappa_core()]
+def closed_form_kappas(point: TuckerPoint, rtol: float | None = None) -> dict[str, float]:
+    """Closed-form condition number of every variable by label (``core``,
+    ``U1`` .. ``UD``), and under ``all`` that of solving for all variables
+    combined: the maximum of the individual ones."""
+    kappas = {"core": closed_form_kappa_core()}
     for d in range(point.order):
-        if point.shape[d] > point.ranks[d]:
-            kappas.append(closed_form_kappa_factor(point.core, d, point.shape[d], rtol))
-    return max(kappas)
+        kappas[variable_label(d)] = closed_form_kappa_factor(point.core, d, point.shape[d], rtol)
+    kappas["all"] = max(kappas.values())
+    return kappas
+
+
+def expected_kappa_all(point: TuckerPoint, rtol: float | None = None) -> float:
+    """Condition number of solving for all variables combined (see :func:`closed_form_kappas`)."""
+    return closed_form_kappas(point, rtol)["all"]
 
 
 @dataclass(frozen=True)
@@ -314,6 +321,7 @@ def cross_validate(
     maximum of the individual ones.  Raises :class:`CertificationError` if
     any rank certificate fails.
     """
+    closed = closed_form_kappas(point, rtol)
     entries = []
     kappa_all_general = None
     for var in ["core"] + list(range(point.order)):
@@ -323,21 +331,16 @@ def cross_validate(
             raise CertificationError(
                 f"rank certificate failed for {problem.name}: {'; '.join(report.certificate.messages)}"
             )
-        closed = (
-            closed_form_kappa_core()
-            if var == "core"
-            else closed_form_kappa_factor(point.core, var, point.shape[var], rtol)
-        )
-        rel = abs(report.kappa_y - closed) / (1.0 + closed)
-        entries.append(VariableComparison(variable_label(var), closed, report.kappa_y, rel))
+        kappa = closed[variable_label(var)]
+        rel = abs(report.kappa_y - kappa) / (1.0 + kappa)
+        entries.append(VariableComparison(variable_label(var), kappa, report.kappa_y, rel))
         if var == "core":
             kappa_all_general = report.kappa_yz
-    expected_all = expected_kappa_all(point, rtol)
-    rel_all = abs(kappa_all_general - expected_all) / (1.0 + expected_all)
+    rel_all = abs(kappa_all_general - closed["all"]) / (1.0 + closed["all"])
     return CrossValidation(
         entries=tuple(entries),
         kappa_all_general=kappa_all_general,
-        kappa_all_expected=expected_all,
+        kappa_all_expected=closed["all"],
         rel_diff_all=rel_all,
         max_rel_diff=max([e.rel_diff for e in entries] + [rel_all]),
     )

@@ -1,11 +1,16 @@
+import dataclasses
 import json
+import math
 from importlib import resources
 
 import jsonschema
 import numpy as np
 import pytest
 
-from crepcond.cli import main
+from crepcond.cli import build_report, main, write_report
+from crepcond.crep import RankCertificate, condition_numbers
+from crepcond.empirical import EmpiricalEstimate
+from crepcond.problems import polar_problem
 from crepcond.tensor import save_tensor
 from crepcond.tucker import random_tucker_point
 
@@ -51,6 +56,30 @@ def test_analyze_deterministic_reports(tmp_path):
     assert main(["analyze", str(spec), "--seed", "5", "--empirical", "4:1e-4", "--json", str(out1)]) == 0
     assert main(["analyze", str(spec), "--seed", "5", "--empirical", "4:1e-4", "--json", str(out2)]) == 0
     assert canonical_without_timing(out1) == canonical_without_timing(out2)
+
+
+def test_report_objects_are_the_library_records(tmp_path, schema):
+    spec = write_spec(tmp_path, "polar.json", {"kind": "polar", "x0": 0.0})
+    out = tmp_path / "report.json"
+    assert main(["analyze", str(spec), "--empirical", "2:1e-4", "--json", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    for key, record in (("certificate", RankCertificate), ("empirical", EmpiricalEstimate)):
+        names = [f.name for f in dataclasses.fields(record)]
+        assert sorted(doc[key]) == sorted(names)
+        assert sorted(schema["properties"][key]["required"]) == sorted(names)
+
+
+def test_build_report_writes_null_for_non_finite_floats(tmp_path, schema):
+    problem, point = polar_problem(0.0)
+    report = condition_numbers(problem, point, n_samples=0)
+    report = dataclasses.replace(report, certificate=dataclasses.replace(report.certificate, min_gap=math.inf))
+    estimate = EmpiricalEstimate(radius=1.0, n_samples=4, max_ratio=math.nan, seed=0, n_failed=5)
+    out = tmp_path / "report.json"
+    write_report(build_report(problem.name, None, problem.dims, report, estimate, 0, None, 0.0), out)
+    doc = json.loads(out.read_text())
+    jsonschema.validate(doc, schema)
+    assert doc["certificate"]["min_gap"] is None
+    assert doc["empirical"]["max_ratio"] is None
 
 
 def test_analyze_custom_linearized_kappa_is_spectral_norm(tmp_path, schema):
@@ -237,6 +266,23 @@ def test_tucker_command_bad_inputs(tmp_path, capsys):
     assert main(["tucker", str(tmp_path / "t.json"), "--ranks", "a,b"]) == 1
     assert main(["tucker", str(tmp_path / "missing.json"), "--ranks", "2,2"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify", "tucker"])
+def test_negative_seed_exits_1(tmp_path, capsys, command):
+    spec = write_spec(tmp_path, "polar.json", {"kind": "polar", "x0": 0.0})
+    tensor = tmp_path / "t.json"
+    save_tensor(random_tucker_point((4, 3), (2, 2), 86).product, tensor)
+    argv = {
+        "analyze": ["analyze", str(spec)],
+        "verify": ["verify"],
+        "tucker": ["tucker", str(tensor), "--ranks", "2,2", "--cross-validate"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "-1"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "--seed" in err and "Traceback" not in err
 
 
 def test_verify_command_quick(capsys):

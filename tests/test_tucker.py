@@ -6,6 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from crepcond import tucker as tucker_module
 from crepcond.crep import (
     CertificationError,
     RankHypothesisError,
@@ -24,6 +25,7 @@ from crepcond.tucker import (
     build_tucker_crep,
     closed_form_kappa_core,
     closed_form_kappa_factor,
+    closed_form_kappas,
     cross_validate,
     expected_kappa_all,
     random_orthogonal,
@@ -189,6 +191,27 @@ def test_scale_covariance():
         problem_c, pt_c = build_tucker_crep(TuckerCrepConfig(scaled, "core"))
         report_c = condition_numbers(problem_c, pt_c, n_samples=0)
         assert report_c.kappa_y == pytest.approx(1.0, abs=1e-8)
+
+
+def test_closed_form_kappas_table():
+    point = random_tucker_point((5, 4, 2), (3, 2, 2), 67)  # mode 3 is square
+    kappas = closed_form_kappas(point)
+    assert list(kappas) == ["core", "U1", "U2", "U3", "all"]
+    assert kappas["core"] == closed_form_kappa_core()
+    for d in range(point.order):
+        assert kappas[f"U{d + 1}"] == closed_form_kappa_factor(point.core, d, point.shape[d])
+    assert kappas["U3"] == 0.0
+    assert kappas["all"] == expected_kappa_all(point) == max(kappas["core"], kappas["U1"], kappas["U2"])
+
+
+def test_cross_validate_computes_each_closed_form_once(monkeypatch):
+    modes = []
+    original = tucker_module.closed_form_kappa_factor
+    monkeypatch.setattr(
+        tucker_module, "closed_form_kappa_factor", lambda core, mode, *args: modes.append(mode) or original(core, mode, *args)
+    )
+    cross_validate(random_tucker_point((5, 4, 3), (3, 2, 2), 68), n_cert_samples=0)
+    assert sorted(modes) == [0, 1, 2]
 
 
 def test_monotonicity_specialization():
