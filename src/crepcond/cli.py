@@ -129,7 +129,7 @@ def cmd_analyze(args) -> int:
         except json.JSONDecodeError as exc:
             print(f"error: spec {spec_path} is not valid JSON: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        problem, point = problem_from_spec(spec, base_dir=spec_path.parent)
+        problem, point = problem_from_spec(spec, base_dir=spec_path.parent, rtol=rtol)
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -206,13 +206,13 @@ class CrepPoint:
     residual_norm: float = 0.0
 
 
-def make_crep_point(problem: CrepProblem, x, y, z, feas_tol: float | None = None) -> CrepPoint:
-    """Validate feasibility of ``(x, y, z)`` and record it as a :class:`CrepPoint`."""
+def make_crep_point(problem: CrepProblem, x, y, z) -> CrepPoint:
+    """Validate feasibility of ``(x, y, z)`` and record it as a :class:`CrepPoint`,
+    with feasibility tolerance ``1e-9 * problem.scale``."""
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
     z = np.asarray(z, dtype=float).ravel()
-    if feas_tol is None:
-        feas_tol = 1e-9 * problem.scale
+    feas_tol = 1e-9 * problem.scale
     rnorm = _feasible_residual_norm(problem.residual(x, y, z), feas_tol)
     return CrepPoint(x=x, y=y, z=z, feas_tol=feas_tol, residual_norm=rnorm)
 

@@ -78,7 +78,6 @@ def constrained_nearest_solution(
     problem: CrepProblem,
     point: CrepPoint,
     x_pert,
-    solver_tol: float | None = None,
     max_iter: int = 100,
     z_trust: float | None = None,
 ) -> ResolveResult:
@@ -94,15 +93,14 @@ def constrained_nearest_solution(
     system is solved in its compressed residual coordinates, which have the
     same least-squares solutions.  One backtracking rule on the (ambient)
     residual sets the step length.
-    The result is converged once the residual is at most ``solver_tol``
-    (default ``1e-12 * problem.scale``) and ``||dy||``, at a feasible point
+    The result is converged once the residual is at most ``solver_tol =
+    1e-12 * problem.scale`` and ``||dy||``, at a feasible point
     the first-order optimality residual, at most ``10 * solver_tol``.  Ending
     farther than ``z_trust`` (default ``0.5 * max(1, ||z0||)``) from ``z0``
     marks the result as not converged.
     """
     x = np.asarray(x_pert, dtype=float).ravel()
-    if solver_tol is None:
-        solver_tol = 1e-12 * problem.scale
+    solver_tol = 1e-12 * problem.scale
     if z_trust is None:
         z_trust = 0.5 * max(1.0, float(np.linalg.norm(point.z)))
     dim_y = problem.dims.dim_y
@@ -161,15 +159,14 @@ def finite_difference_check(
     point: CrepPoint,
     direction,
     steps,
-    max_iter: int = 100,
 ) -> list[float]:
     """Relative errors of central differences of the resolver against ``DH``.
 
     ``direction`` is a unit vector in the input chart.  For each step ``t``
-    the input is moved to ``x0 +- t * direction`` (retracted), re-solved,
-    and ``(y(t) - y(-t)) / 2t`` is compared with the ambient image of
-    ``DH @ direction``.  Errors decrease with ``t`` down to the solver
-    noise floor.  A failed re-solve raises :class:`ResolveFailure`.
+    the input is moved to ``x0 +- t * direction`` (retracted), re-solved in
+    at most 100 iterations, and ``(y(t) - y(-t)) / 2t`` is compared with the
+    ambient image of ``DH @ direction``.  Errors decrease with ``t`` down to
+    the solver noise floor.  A failed re-solve raises :class:`ResolveFailure`.
     """
     direction = np.asarray(direction, dtype=float).ravel()
     if abs(float(np.linalg.norm(direction)) - 1.0) > 1e-8:
@@ -186,7 +183,7 @@ def finite_difference_check(
         results = []
         for sign in (+1.0, -1.0):
             x_t = problem.x_retract(point.x, blocks._x_basis @ (sign * t * direction))
-            res = constrained_nearest_solution(problem, point, x_t, max_iter=max_iter)
+            res = constrained_nearest_solution(problem, point, x_t)
             if not res.converged:
                 raise ResolveFailure(f"re-solve failed at step {sign * t:+.3e}: {res.message}")
             results.append(res)
@@ -243,12 +240,11 @@ def jacobian_consistency_check(
     problem: CrepProblem,
     point: CrepPoint,
     steps=(1e-4, 1e-5, 1e-6),
-    n_directions: int = 4,
     seed: int = 0,
 ) -> list[list[float]]:
     """Central-difference validation of the ambient Jacobian evaluator.
 
-    For seeded random ambient directions ``d`` and each step ``t``, returns
+    For 4 seeded random ambient directions ``d`` and each step ``t``, returns
     ``||(F(p + t d) - F(p - t d)) / 2t - DF(p) d||``.  The errors shrink
     like ``t**2`` until roundoff dominates.  One list of errors (one per
     step) is returned per direction.  A ``None`` input Jacobian is the identity.
@@ -257,7 +253,7 @@ def jacobian_consistency_check(
     jx_a, jy_a, jz_a = problem.jacobian(x0, y0, z0)
     nx, ny = x0.size, y0.size
     errors = []
-    for i in range(n_directions):
+    for i in range(4):
         rng = np.random.default_rng((seed, i))
         d = rng.standard_normal(nx + ny + z0.size)
         d /= float(np.linalg.norm(d))

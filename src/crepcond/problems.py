@@ -154,8 +154,8 @@ def matrix_factorization_problem(m: int, n: int, k_rank: int, seed: int = 0) -> 
     return problem, point
 
 
-def linearized_problem(j_x, j_y, j_z, name: str = "custom_linearized") -> tuple[CrepProblem, CrepPoint]:
-    """Linear system ``j_x x + j_y y + j_z z = 0`` at the origin.
+def linearized_problem(j_x, j_y, j_z) -> tuple[CrepProblem, CrepPoint]:
+    """Linear system ``j_x x + j_y y + j_z z = 0`` at the origin, named "custom_linearized".
 
     A linear map has globally constant rank, so this is a valid elimination
     problem whenever the blocks satisfy ``rank [j_x j_y j_z] = rank [j_y j_z]``.
@@ -172,7 +172,7 @@ def linearized_problem(j_x, j_y, j_z, name: str = "custom_linearized") -> tuple[
         return j_x, j_y, j_z
 
     problem = CrepProblem(
-        name=name,
+        name="custom_linearized",
         dims=CrepDims(dim_x, dim_y, dim_z, n_res),
         residual=residual,
         jacobian=jacobian,
@@ -195,21 +195,20 @@ def _conditioned(rng, rows: int, cols: int, smin: float = 0.3, smax: float = 3.0
     s = np.linspace(smax, smin, f.s.size) if hi == lo else smin + (f.s - lo) * (smax - smin) / (hi - lo)
     return (f.u * s) @ f.vh
 
-def random_linearized_blocks(seed, max_dim: int = 12, deficient: bool | None = None) -> JacobianBlocks:
+def random_linearized_blocks(seed) -> JacobianBlocks:
     """Seeded random chart-coordinate blocks of a consistent linear problem.
 
-    The dependent block ``[j_y j_z]`` has controlled singular values and,
-    when ``deficient`` (default: seeded coin flip), a nontrivial kernel;
-    ``j_x`` is drawn inside its column span so the feasibility rank
+    Every dimension is at most 12.  The dependent block ``[j_y j_z]`` has
+    controlled singular values and, on a seeded coin flip, a nontrivial
+    kernel; ``j_x`` is drawn inside its column span so the feasibility rank
     condition holds by construction.
     """
     rng = np.random.default_rng(seed)
-    n_res = int(rng.integers(2, max_dim + 1))
-    dim_x = int(rng.integers(1, max_dim + 1))
-    dim_y = int(rng.integers(1, max_dim + 1))
-    dim_z = int(rng.integers(0, max_dim + 1))
-    if deficient is None:
-        deficient = bool(rng.integers(0, 2))
+    n_res = int(rng.integers(2, 13))
+    dim_x = int(rng.integers(1, 13))
+    dim_y = int(rng.integers(1, 13))
+    dim_z = int(rng.integers(0, 13))
+    deficient = bool(rng.integers(0, 2))
     full = min(n_res, dim_y + dim_z)
     rank = int(rng.integers(1, full + 1)) if deficient and full > 1 else full
     j_yz = _conditioned(rng, n_res, rank) @ _conditioned(rng, rank, dim_y + dim_z)
@@ -233,11 +232,12 @@ def _require(spec: dict, field: str, kinds, kind: str):
     return value
 
 
-def problem_from_spec(spec: dict, base_dir=None) -> tuple[CrepProblem, CrepPoint]:
+def problem_from_spec(spec: dict, base_dir=None, rtol: float | None = None) -> tuple[CrepProblem, CrepPoint]:
     """Build a problem from a JSON-style spec mapping.
 
     Relative file references (the tucker tensor file) are resolved against
-    ``base_dir``.  Raises :class:`SpecError` naming the offending field.
+    ``base_dir``.  ``rtol`` is the rank tolerance of a tucker spec's rank
+    check, HOSVD and charts.  Raises :class:`SpecError` naming the offending field.
     """
     if not isinstance(spec, dict):
         raise SpecError("problem spec must be a JSON object")
@@ -284,8 +284,8 @@ def problem_from_spec(spec: dict, base_dir=None) -> tuple[CrepProblem, CrepPoint
                 raise SpecError(f"field 'tensor' is invalid: {exc}") from exc
         output = spec.get("output_variable", "U1")
         try:
-            point = _tucker_point_from_inputs(tensor, ranks)
-            config = TuckerCrepConfig(point, _parse_output_variable(output, point.order))
+            point = _tucker_point_from_inputs(tensor, ranks, rtol)
+            config = TuckerCrepConfig(point, _parse_output_variable(output, point.order), rtol)
             return build_tucker_crep(config)
         except ValueError as exc:
             raise SpecError(f"tucker spec is invalid: {exc}") from exc

@@ -57,6 +57,7 @@ __all__ = [
     "closed_form_kappa_factor",
     "closed_form_kappas",
     "cross_validate",
+    "expected_kappa_all",
     "random_orthogonal",
     "random_stiefel",
     "random_tucker_point",
@@ -309,7 +310,6 @@ def cross_validate(
     rtol: float | None = None,
     *,
     n_cert_samples: int = 2,
-    radius: float | None = None,
     seed: int = 0,
 ) -> CrossValidation:
     """Compare closed-form and general-pipeline condition numbers.
@@ -326,7 +326,7 @@ def cross_validate(
     kappa_all_general = None
     for var in ["core"] + list(range(point.order)):
         problem, pt = build_tucker_crep(TuckerCrepConfig(point, var, rtol))
-        report = condition_numbers(problem, pt, rtol, n_samples=n_cert_samples, radius=radius, seed=seed)
+        report = condition_numbers(problem, pt, rtol, n_samples=n_cert_samples, seed=seed)
         if not report.certificate.passed:
             raise CertificationError(
                 f"rank certificate failed for {problem.name}: {'; '.join(report.certificate.messages)}"
@@ -367,11 +367,11 @@ def random_orthogonal(seed, n: int) -> np.ndarray:
     return random_stiefel(seed, n, n)
 
 
-def random_tucker_point(shape, ranks, seed, min_core_sigma: float = 0.1, max_tries: int = 500) -> TuckerPoint:
+def random_tucker_point(shape, ranks, seed) -> TuckerPoint:
     """Seeded random decomposition point with a well-conditioned core.
 
-    The core is resampled until the smallest singular value of every mode
-    flattening is at least ``min_core_sigma``, so closed-form condition
+    The core is resampled, at most 500 times, until the smallest singular
+    value of every mode flattening is at least 0.1, so closed-form condition
     numbers stay bounded and rank decisions are unambiguous.
     """
     shape = tuple(int(n) for n in shape)
@@ -389,15 +389,15 @@ def random_tucker_point(shape, ranks, seed, min_core_sigma: float = 0.1, max_tri
             )
     rng = _as_rng(seed)
     factors = tuple(random_stiefel(rng, n, m) for n, m in zip(shape, ranks))
-    for _ in range(max_tries):
+    for _ in range(500):
         core = rng.standard_normal(ranks)
         smallest = min(
             float(_svd(flatten(core, d), uv=False).s[ranks[d] - 1])
             for d in range(len(ranks))
         )
-        if smallest >= min_core_sigma:
+        if smallest >= 0.1:
             return TuckerPoint(core=core, factors=factors)
-    raise RuntimeError(f"could not sample a core with sigma_min >= {min_core_sigma} in {max_tries} tries")
+    raise RuntimeError("could not sample a core with sigma_min >= 0.1 in 500 tries")
 
 
 def regauge(point: TuckerPoint, seed) -> TuckerPoint:

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import empirical
 from .crep import (
+    CertificationError,
     JacobianBlocks,
     chart_blocks,
     condition_numbers,
@@ -339,7 +340,7 @@ def _tucker_instance_pool(seed, n_instances):
     ]
     for i in range(n_instances):
         shape, ranks = shapes[i % len(shapes)]
-        yield random_tucker_point(shape, ranks, (seed, i), min_core_sigma=0.1)
+        yield random_tucker_point(shape, ranks, (seed, i))
 
 
 def check_tucker_closed_form(seed=0, n_instances=10, tol=1e-6, budget_seconds=60.0) -> CheckResult:
@@ -392,16 +393,20 @@ def check_gap_independence(seed=0, gaps=(1e-1, 1e-3, 1e-6), tol=1e-6) -> CheckRe
 def check_gauge_invariance(seed=0, trials=5, tol=1e-8) -> CheckResult:
     """Condition numbers are invariant under the orthogonal gauge of the
     decomposition."""
+    name = "gauge invariance of condition numbers"
     worst = 0.0
     for i in range(trials):
         point = random_tucker_point((4, 3), (2, 2), (seed, i))
         other = regauge(point, (seed, i, 1))
         for var in ["core", 0, 1]:
-            r1 = condition_numbers(*build_tucker_crep(TuckerCrepConfig(point, var)), n_samples=0)
-            r2 = condition_numbers(*build_tucker_crep(TuckerCrepConfig(other, var)), n_samples=0)
+            r1 = condition_numbers(*build_tucker_crep(TuckerCrepConfig(point, var)), n_samples=2, seed=seed)
+            r2 = condition_numbers(*build_tucker_crep(TuckerCrepConfig(other, var)), n_samples=2, seed=seed)
+            for r in (r1, r2):
+                if not r.certificate.passed:
+                    return CheckResult(name, False, np.inf, tol, f"certificate failed: {'; '.join(r.certificate.messages)}")
             for a, b in ((r1.kappa_y, r2.kappa_y), (r1.kappa_z, r2.kappa_z), (r1.kappa_yz, r2.kappa_yz)):
                 worst = max(worst, abs(a - b) / (1.0 + abs(a)))
-    return _result("gauge invariance of condition numbers", worst, tol, f"{trials} regauged instances")
+    return _result(name, worst, tol, f"{trials} regauged instances")
 
 
 def check_scale_covariance(seed=0, alphas=(0.5, 2.0, 10.0), tol=1e-8) -> CheckResult:
@@ -412,7 +417,10 @@ def check_scale_covariance(seed=0, alphas=(0.5, 2.0, 10.0), tol=1e-8) -> CheckRe
     worst = 0.0
     for alpha in alphas:
         scaled = TuckerPoint(core=alpha * point.core, factors=point.factors)
-        cv = cross_validate(scaled, n_cert_samples=0, seed=seed)
+        try:
+            cv = cross_validate(scaled, n_cert_samples=2, seed=seed)
+        except CertificationError as exc:
+            return CheckResult("scale covariance", False, np.inf, tol, str(exc))
         for entry, kappa0 in zip(cv.entries[1:], base):
             worst = max(worst, abs(entry.kappa_general - kappa0 / alpha) / (kappa0 / alpha))
         core_entry = cv.entries[0]

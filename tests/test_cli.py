@@ -224,6 +224,24 @@ def test_rtol_env_override(tmp_path, monkeypatch, capsys):
                 assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_analyze_rtol_reaches_tucker_spec(tmp_path, capsys):
+    # Rank (2, 2, 2) plus noise: full multilinear rank at the default rtol, rank (2, 2, 2) at 1e-6.
+    rng = np.random.default_rng(87)
+    tensor = random_tucker_point((4, 3, 3), (2, 2, 2), 87).product + 1e-10 * rng.standard_normal((4, 3, 3))
+    save_tensor(tensor, tmp_path / "t.json")
+    spec = write_spec(tmp_path, "tuck.json", {"kind": "tucker", "tensor": "t.json", "ranks": [2, 2, 2]})
+    out = tmp_path / "report.json"
+    assert main(["analyze", str(spec)]) == 1
+    assert "multilinear rank (4, 3, 3)" in capsys.readouterr().err
+    assert main(["analyze", str(spec), "--rtol", "1e-6", "--json", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["certificate"]["passed"] is True
+    capsys.readouterr()
+    assert main(["tucker", str(tmp_path / "t.json"), "--ranks", "2,2,2", "--rtol", "1e-6"]) == 0
+    rows = {line.split()[0]: float(line.split()[1]) for line in capsys.readouterr().out.splitlines()[1:]}
+    assert doc["condition"]["kappa_y"] == pytest.approx(rows["U1"], rel=1e-8)
+
+
 def test_tucker_command_table_and_cross_validation(tmp_path, capsys):
     rng = np.random.default_rng(81)
     from crepcond.tensor import TuckerPoint

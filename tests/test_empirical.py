@@ -114,7 +114,7 @@ def test_resolve_satisfies_first_order_optimality():
         d = rng.standard_normal(problem.dims.dim_x)
         d /= np.linalg.norm(d)
         x_pert = problem.x_retract(pt.x, cx.basis @ (1e-4 * problem.scale * d))
-        res = constrained_nearest_solution(problem, pt, x_pert, solver_tol=solver_tol, z_trust=z_trust)
+        res = constrained_nearest_solution(problem, pt, x_pert, z_trust=z_trust)
         assert res.converged, res.message
         _, j_y_a, j_z_a = problem.jacobian(x_pert, res.y, res.z)
         cy = problem.y_chart(x_pert, res.y, res.z)
@@ -197,7 +197,8 @@ def test_fd_rejects_bad_direction_and_steps():
 def test_fd_raises_on_resolve_failure():
     problem, point = polar_problem(0.0)
     with pytest.raises(ResolveFailure):
-        finite_difference_check(problem, point, [1.0], [1e-2], max_iter=0)
+        # Step 2.0 moves x past the pole at x = 1, where the residual is NaN.
+        finite_difference_check(problem, point, [1.0], [2.0])
 
 
 # ---------------------------------------------------------------------------

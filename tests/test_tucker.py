@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from crepcond import tucker as tucker_module
+from crepcond import verify
 from crepcond.crep import (
     CertificationError,
+    ConditionReport,
     RankHypothesisError,
     certify_crep,
     chart_blocks,
@@ -174,8 +176,9 @@ def test_gauge_invariance_of_kappas():
     point = random_tucker_point((4, 3), (2, 2), 61)
     other = regauge(point, 62)
     for var in ["core", 0, 1]:
-        r1 = condition_numbers(*build_tucker_crep(TuckerCrepConfig(point, var)), n_samples=0)
-        r2 = condition_numbers(*build_tucker_crep(TuckerCrepConfig(other, var)), n_samples=0)
+        r1 = condition_numbers(*build_tucker_crep(TuckerCrepConfig(point, var)), n_samples=2)
+        r2 = condition_numbers(*build_tucker_crep(TuckerCrepConfig(other, var)), n_samples=2)
+        assert r1.certificate.passed and r2.certificate.passed
         assert abs(r1.kappa_y - r2.kappa_y) <= 1e-8 * (1 + r1.kappa_y)
         assert abs(r1.kappa_yz - r2.kappa_yz) <= 1e-8 * (1 + r1.kappa_yz)
 
@@ -186,11 +189,24 @@ def test_scale_covariance():
     for alpha in (0.5, 4.0):
         scaled = TuckerPoint(core=alpha * point.core, factors=point.factors)
         problem, pt = build_tucker_crep(TuckerCrepConfig(scaled, 0))
-        report = condition_numbers(problem, pt, n_samples=0)
+        report = condition_numbers(problem, pt, n_samples=2)
+        assert report.certificate.passed
         assert report.kappa_y == pytest.approx(kappa1 / alpha, rel=1e-8)
         problem_c, pt_c = build_tucker_crep(TuckerCrepConfig(scaled, "core"))
-        report_c = condition_numbers(problem_c, pt_c, n_samples=0)
+        report_c = condition_numbers(problem_c, pt_c, n_samples=2)
+        assert report_c.certificate.passed
         assert report_c.kappa_y == pytest.approx(1.0, abs=1e-8)
+
+
+def test_gauge_and_scale_checks_fail_on_a_failed_certificate(monkeypatch):
+    def failing(problem, pt, rtol=None, **kwargs):
+        cert = condition_numbers(problem, pt, rtol, **kwargs).certificate
+        return ConditionReport(None, None, None, None, dataclasses.replace(cert, passed=False, messages=("forced",)))
+
+    monkeypatch.setattr(verify, "condition_numbers", failing)
+    monkeypatch.setattr(tucker_module, "condition_numbers", failing)
+    for result in (verify.check_gauge_invariance(trials=1), verify.check_scale_covariance()):
+        assert not result.passed and "forced" in result.detail
 
 
 def test_closed_form_kappas_table():
@@ -235,7 +251,7 @@ def test_random_tucker_point_validation():
         random_tucker_point((4, 3), (5, 2), 0)
     with pytest.raises(ValueError):
         random_tucker_point((4, 3), (2, 1), 0)  # not an achievable multilinear rank
-    point = random_tucker_point((4, 3), (2, 2), 66, min_core_sigma=0.1)
+    point = random_tucker_point((4, 3), (2, 2), 66)
     for d in range(2):
         s = np.linalg.svd(flatten(point.core, d), compute_uv=False)
         assert s[-1] >= 0.1
