@@ -136,7 +136,7 @@ def cmd_analyze(args) -> int:
 
     start = time.monotonic()
     try:
-        report = condition_numbers(problem, point, rtol, seed=args.seed)
+        report = condition_numbers(problem, point, seed=args.seed)
         estimate = None
         if empirical_params is not None and report.certificate.passed:
             n_samples, radius = empirical_params

@@ -43,7 +43,6 @@ import numpy as np
 from .linalg import (
     InconsistentSystemError,
     _is_orthonormal,
-    _recut,
     _resolve_rtol,
     _solve,
     _svd,
@@ -51,7 +50,6 @@ from .linalg import (
     RankDecision,
     as_matrix,
     complement_basis,
-    default_rtol,
     kernel_basis,
     numerical_rank,
     spectral_norm,
@@ -172,9 +170,13 @@ class CrepProblem:
     ``(x, y, z)``; then ``q.T`` keeps their Gram matrix, so every rank,
     ``DH`` and least-squares step is the ambient one, from matrices with
     fewer rows.  ``r`` need not lie in that span: the resolver tests
-    convergence on the ambient residual and steps with ``qr``.  Default
-    rank tolerances stay keyed to the ambient shape (``dims.n_residual``
-    rows).  Without the hook, ``q`` is the identity.
+    convergence on the ambient residual and steps with ``qr``.  Without the
+    hook, ``q`` is the identity.
+
+    ``rtol`` is the relative tolerance of every rank cut taken for the problem:
+    the certificate's, the kappa stage's and the resolver's.  None (the default)
+    becomes ``default_rtol`` of DF's ambient shape at construction; a given
+    value must be finite and positive, or construction raises ``ValueError``.
     """
 
     name: str
@@ -189,6 +191,10 @@ class CrepProblem:
     z_retract: Callable[[np.ndarray, np.ndarray], np.ndarray] = _flat_retract
     scale: float = 1.0
     tangent_blocks: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None], tuple] | None = None
+    rtol: float | None = None
+
+    def __post_init__(self):  # the one place a problem's default rank tolerance is resolved
+        self.rtol = _resolve_rtol(self.rtol, (self.dims.n_residual, sum(self.dims[:3])))
 
 
 @dataclass(frozen=True)
@@ -232,12 +238,10 @@ class JacobianBlocks:
     j_x: np.ndarray
     j_y: np.ndarray
     j_z: np.ndarray
-    # Private: the input and output chart bases (set by chart_blocks), an SVD of [j_y j_z] (see _yz_svd)
-    # and the ambient residual dimension when the rows are compressed (see _default_rtol).
+    # Private: the input and output chart bases (set by chart_blocks) and an SVD of [j_y j_z] (see _yz_svd).
     _x_basis: np.ndarray | None = field(default=None, repr=False, compare=False)
     _y_basis: np.ndarray | None = field(default=None, repr=False, compare=False)
     _yz: _Svd | None = field(default=None, repr=False, compare=False)
-    _n_ambient: int | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         j_x = as_matrix(self.j_x, "j_x")
@@ -255,13 +259,7 @@ class JacobianBlocks:
 
     def swap_outputs(self) -> "JacobianBlocks":
         """Blocks for the problem with the roles of output and latent reversed."""
-        return JacobianBlocks(j_x=self.j_x, j_y=self.j_z, j_z=self.j_y, _n_ambient=self._n_ambient)
-
-    def _default_rtol(self, rtol: float | None, shape: tuple[int, int]) -> float:
-        """``rtol``, or the default for a matrix of ``shape`` whose rows count residual
-        directions, keyed to the ambient residual dimension."""
-        dropped = (self._n_ambient or self.n_residual) - self.n_residual
-        return _resolve_rtol(rtol, (shape[0] + dropped, shape[1]))
+        return JacobianBlocks(j_x=self.j_x, j_y=self.j_z, j_z=self.j_y)
 
 
 def _project(problem: CrepProblem, mat, chart: TangentChart, label: str) -> np.ndarray:
@@ -324,8 +322,7 @@ def chart_blocks(problem: CrepProblem, x, y, z) -> JacobianBlocks:
     onto the charts, or the compressed rows of the problem's ``tangent_blocks``."""
     cx = problem.x_chart(x, y, z)
     j_x, j_y, j_z, _, cy, _ = _evaluate(problem, x, y, z)
-    return JacobianBlocks(j_x=_x_block(problem, j_x, x, y, z, cx), j_y=j_y, j_z=j_z, _x_basis=cx.basis,
-                          _y_basis=cy.basis, _n_ambient=problem.dims.n_residual)
+    return JacobianBlocks(j_x=_x_block(problem, j_x, x, y, z, cx), j_y=j_y, j_z=j_z, _x_basis=cx.basis, _y_basis=cy.basis)
 
 
 def evaluate_blocks(problem: CrepProblem, point: CrepPoint) -> JacobianBlocks:
@@ -341,8 +338,8 @@ def _elimination_bases(blocks: JacobianBlocks, rtol: float | None) -> tuple[np.n
     """``q``, a basis of span(j_z)-perp, and ``u_y``, the output rows of a
     kernel basis of ``[j_y  j_z]``: the two bases of the elimination system."""
     j_yz = np.hstack([blocks.j_y, blocks.j_z])
-    q = complement_basis(blocks.j_z, blocks._default_rtol(rtol, blocks.j_z.shape))
-    kern = kernel_basis(j_yz, blocks._default_rtol(rtol, j_yz.shape))
+    q = complement_basis(blocks.j_z, rtol)
+    kern = kernel_basis(j_yz, rtol)
     return q, kern[: blocks.j_y.shape[1], :]
 
 
@@ -388,7 +385,7 @@ def solution_map_derivative(blocks: JacobianBlocks, rtol: float | None = None) -
         return np.zeros((0, dim_x))
     q, u_y = _elimination_bases(blocks, rtol)
     a = np.vstack([q.T @ j_y, u_y.T])
-    f = _svd(a, blocks._default_rtol(rtol, a.shape))
+    f = _svd(a, rtol)
     if f.rank < dim_y:
         raise RankHypothesisError(
             f"elimination system is rank deficient ({f.rank} < {dim_y}); "
@@ -407,9 +404,10 @@ def solution_map_derivative(blocks: JacobianBlocks, rtol: float | None = None) -
 def _yz_svd(blocks: JacobianBlocks, rtol: float | None) -> _Svd:
     """The SVD of ``[j_y  j_z]`` (full ``vh`` when wide) cut at ``rtol``: the one that
     certify_crep put on ``blocks`` (a sample's lacks the vectors), else a new one."""
-    shape = (blocks.n_residual, blocks.j_y.shape[1] + blocks.j_z.shape[1])
-    f = blocks._yz if blocks._yz is not None else _svd(np.hstack([blocks.j_y, blocks.j_z]), full=shape[0] < shape[1])
-    return _recut(f, blocks._default_rtol(rtol, shape), shape)
+    if blocks._yz is not None:
+        return blocks._yz
+    j_yz = np.hstack([blocks.j_y, blocks.j_z])
+    return _svd(j_yz, rtol, full=j_yz.shape[0] < j_yz.shape[1])
 
 
 def _minnorm_derivatives(
@@ -550,7 +548,6 @@ def certify_crep(
     n_samples: int = 4,
     radius: float | None = None,
     seed: int = 0,
-    rtol: float | None = None,
 ) -> RankCertificate:
     """Certify the constant-rank hypotheses at ``point`` and nearby solutions.
 
@@ -561,6 +558,7 @@ def certify_crep(
     samples, or if no perturbed sample could be re-solved.  Re-solve
     failures are counted and the sample is skipped.  ``radius`` must be
     finite and positive: at radius 0 every sample is the reference point.
+    Every rank cut, the resolver's included, is taken at ``problem.rtol``.
     """
     if n_samples < 0:
         raise ValueError("n_samples must be nonnegative")
@@ -568,9 +566,7 @@ def certify_crep(
         radius = 1e-4 * problem.scale
     if not (np.isfinite(radius) and radius > 0.0):
         raise ValueError(f"radius must be finite and positive, got {radius}")
-    dims = problem.dims
-    if rtol is None:
-        rtol = default_rtol((dims.n_residual, dims.dim_x + dims.dim_y + dims.dim_z))
+    dims, rtol = problem.dims, problem.rtol
 
     blocks0 = evaluate_blocks(problem, point)
     blocks0 = replace(blocks0, _yz=_yz_svd(blocks0, rtol))  # one SVD, shared with the kappa stage
@@ -593,7 +589,7 @@ def certify_crep(
             continue
         j_x, j_y, j_z, f_yz = result._evaluation  # the resolver's last evaluation
         j_x = _x_block(problem, j_x, x_pert, result.y, result.z)
-        blocks_i = JacobianBlocks(j_x, j_y, j_z, _yz=f_yz, _n_ambient=dims.n_residual)
+        blocks_i = JacobianBlocks(j_x, j_y, j_z, _yz=f_yz)
         r_i, k_i, rank_df_i, _, gap_i, problems_i = _rank_checks(blocks_i, dims, rtol)
         min_gap = min(min_gap, gap_i)
         samples_checked += 1
@@ -648,7 +644,8 @@ def condition_numbers_from_blocks(
     """``(kappa_y, kappa_z, kappa_yz, dh)`` from chart-coordinate blocks.
 
     All three derivatives come from one minimum-norm solve of the
-    linearised system (see :func:`solution_map_derivative_minnorm`).
+    linearised system (see :func:`solution_map_derivative_minnorm`); ``rtol``
+    None cuts each matrix at the default for its own shape.
     """
     dh, dh_z, dh_yz = _minnorm_derivatives(blocks, rtol)
     return spectral_norm(dh), spectral_norm(dh_z), spectral_norm(dh_yz), dh
@@ -657,7 +654,6 @@ def condition_numbers_from_blocks(
 def condition_numbers(
     problem: CrepProblem,
     point: CrepPoint,
-    rtol: float | None = None,
     *,
     n_samples: int = 4,
     radius: float | None = None,
@@ -665,19 +661,20 @@ def condition_numbers(
 ) -> ConditionReport:
     """Certify ``point`` and compute the condition numbers of the problem.
 
-    The kappa stage reuses the certificate's evaluation of ``point``.  When
-    certification fails the report carries the failed certificate and
-    ``None`` condition numbers instead of numeric sentinels.
+    The kappa stage reuses the certificate's evaluation of ``point`` and cuts
+    at its tolerance, ``problem.rtol``.  When certification fails the report
+    carries the failed certificate and ``None`` condition numbers instead of
+    numeric sentinels.
     """
     evaluated: list[JacobianBlocks] = []
     token = _REFERENCE_BLOCKS.set(evaluated)
     try:
-        certificate = certify_crep(problem, point, n_samples=n_samples, radius=radius, seed=seed, rtol=rtol)
+        certificate = certify_crep(problem, point, n_samples=n_samples, radius=radius, seed=seed)
     finally:
         _REFERENCE_BLOCKS.reset(token)
     if not certificate.passed:
         return ConditionReport(kappa_y=None, kappa_z=None, kappa_yz=None, dh=None, certificate=certificate)
-    kappa_y, kappa_z, kappa_yz, dh = condition_numbers_from_blocks(evaluated[0], rtol)
+    kappa_y, kappa_z, kappa_yz, dh = condition_numbers_from_blocks(evaluated[0], problem.rtol)
     return ConditionReport(
         kappa_y=kappa_y, kappa_z=kappa_z, kappa_yz=kappa_yz, dh=dh, certificate=certificate
     )

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .crep import CrepPoint, CrepProblem, _evaluate, _unit_direction, evaluate_blocks, solution_map_derivative_minnorm
-from .linalg import _lstsq, _svd, default_rtol
+from .linalg import _lstsq, _svd
 
 __all__ = [
     "EmpiricalEstimate",
@@ -85,14 +85,14 @@ def constrained_nearest_solution(
 
     Each iteration evaluates the blocks and charts once at the current ``(y, z)``,
     starting from ``(y0, z0)``, and takes a Newton step with the
-    Moore-Penrose inverse, chosen as the kappa stage chooses ``DH``: of the
-    least-squares solutions of ``j_y dy + j_z dz = -r`` (coordinates of the
-    y and z charts that evaluation returns, ``r`` the residual), the one with
-    the smallest new output error ``e + dy``.  With the problem's
-    ``tangent_blocks`` the blocks and charts come from that one call and the
-    system is solved in its compressed residual coordinates, which have the
-    same least-squares solutions.  One backtracking rule on the (ambient)
-    residual sets the step length.
+    Moore-Penrose inverse cut at ``problem.rtol``, chosen as the kappa stage
+    chooses ``DH``: of the least-squares solutions of ``j_y dy + j_z dz = -r``
+    (coordinates of the y and z charts that evaluation returns, ``r`` the
+    residual), the one with the smallest new output error ``e + dy``.  With
+    the problem's ``tangent_blocks`` the blocks and charts come from that one
+    call and the system is solved in its compressed residual coordinates,
+    which have the same least-squares solutions.  One backtracking rule on
+    the (ambient) residual sets the step length.
     The result is converged once the residual is at most ``solver_tol =
     1e-12 * problem.scale`` and ``||dy||``, at a feasible point
     the first-order optimality residual, at most ``10 * solver_tol``.  Ending
@@ -103,8 +103,7 @@ def constrained_nearest_solution(
     solver_tol = 1e-12 * problem.scale
     if z_trust is None:
         z_trust = 0.5 * max(1.0, float(np.linalg.norm(point.z)))
-    dim_y = problem.dims.dim_y
-    rtol = default_rtol((problem.dims.n_residual, dim_y + problem.dims.dim_z))
+    dim_y, rtol = problem.dims.dim_y, problem.rtol
     y, z = point.y.copy(), point.z.copy()
     r = problem.residual(x, y, z)
     current = float(np.linalg.norm(r))
@@ -123,7 +122,7 @@ def constrained_nearest_solution(
         e = cy.basis.T @ (y - point.y)
         p = _lstsq(f, j_y @ e - qr)
         kern = f.vh[f.rank :].T
-        c = -_lstsq(_svd(kern[:dim_y], scale=1.0), p[:dim_y])  # rows of the orthonormal kernel
+        c = -_lstsq(_svd(kern[:dim_y], rtol, scale=1.0), p[:dim_y])  # rows of the orthonormal kernel
         dy = p[:dim_y] + kern[:dim_y] @ c - e
         dz = p[dim_y:] + kern[dim_y:] @ c
         if current <= solver_tol and float(np.linalg.norm(dy)) <= 10.0 * solver_tol:
@@ -172,7 +171,7 @@ def finite_difference_check(
     if abs(float(np.linalg.norm(direction)) - 1.0) > 1e-8:
         raise ValueError("direction must have unit norm in the input chart")
     blocks = evaluate_blocks(problem, point)
-    dh = solution_map_derivative_minnorm(blocks)
+    dh = solution_map_derivative_minnorm(blocks, problem.rtol)
     predicted = blocks._y_basis @ (dh @ direction)
     pred_norm = float(np.linalg.norm(predicted))
     errors = []
@@ -212,7 +211,7 @@ def empirical_condition(
     if not (math.isfinite(radius) and radius > 0.0):
         raise ValueError(f"radius must be finite and positive, got {radius}")
     blocks = evaluate_blocks(problem, point)
-    dh = solution_map_derivative_minnorm(blocks)
+    dh = solution_map_derivative_minnorm(blocks, problem.rtol)
     directions = [_unit_direction(seed, i, problem.dims.dim_x) for i in range(n_samples)]
     if dh.size:
         directions.append(_svd(dh).vh[0])

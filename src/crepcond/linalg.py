@@ -98,12 +98,6 @@ def _svd(m, rtol: float | None = None, *, full: bool = False, uv: bool = True, s
     return _Svd(u, s, vh, int(np.count_nonzero(s > tol)), tol, norm, rtol)
 
 
-def _recut(f: _Svd, rtol: float | None, shape: tuple[int, int]) -> _Svd:
-    """``f``, the SVD of a matrix of ``shape``, with its rank cut at ``rtol``."""
-    rtol = _resolve_rtol(rtol, shape)
-    return _Svd(f.u, f.s, f.vh, int(np.count_nonzero(f.s > rtol * f.norm)), rtol * f.norm, f.norm, rtol)
-
-
 def _is_orthonormal(b: np.ndarray, tol: float) -> bool:
     """``||b.T b - I||_2 <= tol``, with an SVD only if the Frobenius norm, a bound, exceeds tol."""
     err = b.T @ b - np.eye(b.shape[1])
@@ -237,12 +231,13 @@ def _solve(a: np.ndarray, f: _Svd, b: np.ndarray, scale: float) -> np.ndarray:
 def subspace_distance(b1, b2) -> float:
     """Distance between the spans of two orthonormal bases.
 
-    Computed as the spectral norm of the difference of the orthogonal
-    projectors, which is basis-independent.  Use this to compare subspace
+    The spectral norm of the difference of the orthogonal projectors, which
+    is basis-independent, computed without forming them as
+    ``max(||(I - P1) b2||, ||(I - P2) b1||)``.  Use this to compare subspace
     outputs; column order and sign are unspecified.
     """
     b1 = as_matrix(b1, "b1")
     b2 = as_matrix(b2, "b2")
     if b1.shape[0] != b2.shape[0]:
         raise ValueError("bases live in different ambient dimensions")
-    return spectral_norm(b1 @ b1.T - b2 @ b2.T)
+    return max(spectral_norm(b2 - b1 @ (b1.T @ b2)), spectral_norm(b1 - b2 @ (b2.T @ b1)))

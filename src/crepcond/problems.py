@@ -30,6 +30,7 @@ Four kinds are available:
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -236,9 +237,15 @@ def problem_from_spec(spec: dict, base_dir=None, rtol: float | None = None) -> t
     """Build a problem from a JSON-style spec mapping.
 
     Relative file references (the tucker tensor file) are resolved against
-    ``base_dir``.  ``rtol`` is the rank tolerance of a tucker spec's rank
-    check, HOSVD and charts.  Raises :class:`SpecError` naming the offending field.
+    ``base_dir``.  ``rtol`` becomes the problem's ``CrepProblem.rtol`` for
+    every kind; a tucker spec's rank check, HOSVD and charts take it too.
+    Raises :class:`SpecError` naming the offending field.
     """
+    problem, point = _problem_from_spec(spec, base_dir, rtol)
+    return replace(problem, rtol=rtol), point
+
+
+def _problem_from_spec(spec, base_dir, rtol: float | None) -> tuple[CrepProblem, CrepPoint]:
     if not isinstance(spec, dict):
         raise SpecError("problem spec must be a JSON object")
     kind = _require(spec, "kind", str, "spec")
@@ -257,8 +264,8 @@ def problem_from_spec(spec: dict, base_dir=None, rtol: float | None = None) -> t
         n = _require(spec, "n", int, kind)
         k_rank = _require(spec, "k_rank", int, kind)
         seed = spec.get("seed", 0)
-        if not _is_int(seed):
-            raise SpecError("field 'seed' must be an integer")
+        if not (_is_int(seed) and seed >= 0):
+            raise SpecError("field 'seed' must be a nonnegative integer")
         try:
             return matrix_factorization_problem(m, n, k_rank, seed)
         except ValueError as exc:

@@ -71,7 +71,8 @@ class TuckerCrepConfig:
     """Choice of decomposition point and output variable.
 
     ``output_variable`` is either a 0-based mode index (solve for that
-    factor) or the string ``"core"``.
+    factor) or the string ``"core"``.  ``rtol`` is the problem's rtol and
+    the tolerance of its HOSVD and charts (per-matrix defaults when None).
     """
 
     point: TuckerPoint
@@ -241,6 +242,7 @@ def build_tucker_crep(config: TuckerCrepConfig) -> tuple[CrepProblem, CrepPoint]
         z_retract=z_retract,
         scale=scale,
         tangent_blocks=tangent_blocks,
+        rtol=rtol,
     )
     z0 = np.concatenate([pack[c] for c in z_comps]) if z_comps else np.zeros(0)
     point = make_crep_point(problem, x0, pack[out], z0)
@@ -326,7 +328,7 @@ def cross_validate(
     kappa_all_general = None
     for var in ["core"] + list(range(point.order)):
         problem, pt = build_tucker_crep(TuckerCrepConfig(point, var, rtol))
-        report = condition_numbers(problem, pt, rtol, n_samples=n_cert_samples, seed=seed)
+        report = condition_numbers(problem, pt, n_samples=n_cert_samples, seed=seed)
         if not report.certificate.passed:
             raise CertificationError(
                 f"rank certificate failed for {problem.name}: {'; '.join(report.certificate.messages)}"

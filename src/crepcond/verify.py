@@ -32,7 +32,6 @@ from .crep import (
 )
 from .linalg import (
     complement_basis,
-    default_rtol,
     kernel_basis,
     min_norm_solve,
     numerical_rank,

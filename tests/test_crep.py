@@ -18,14 +18,14 @@ from crepcond.crep import (
     solution_map_derivative,
     solution_map_derivative_minnorm,
 )
-from crepcond.linalg import InconsistentSystemError, spectral_norm
+from crepcond.linalg import InconsistentSystemError, default_rtol, spectral_norm
 from crepcond.problems import (
     linearized_problem,
     matrix_factorization_problem,
     polar_problem,
     random_linearized_blocks,
 )
-from crepcond.tucker import TuckerCrepConfig, build_tucker_crep, random_tucker_point
+from crepcond.tucker import TuckerCrepConfig, build_tucker_crep, random_orthogonal, random_stiefel, random_tucker_point
 
 SQRT2 = np.sqrt(2.0)
 
@@ -462,6 +462,32 @@ def test_condition_numbers_evaluates_each_point_once(case):
     assert counts["x_chart"] == 1 + (0 if hook else report.certificate.samples_checked)
     if hook:  # the resolver steps along the charts the tangent blocks return
         assert counts["y_chart"] == counts["z_chart"] == 0
+
+
+def _near_deficient_problem(seed):
+    """Blocks with [j_y j_z] of singular values (1, 1e-13): rank 1 at DF's default
+    tolerance, rank 2 at the default of [j_y j_z]'s own smaller shape."""
+    rng = np.random.default_rng(seed)
+    j = random_orthogonal(rng, 2) @ np.diag([1.0, 1e-13]) @ random_stiefel(rng, 3, 2).T
+    return linearized_problem(j @ rng.standard_normal((3, 10)), j[:, :1], j[:, 1:])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_kappa_is_computed_at_the_certified_rank(seed):
+    problem, point = _near_deficient_problem(seed)
+    assert problem.rtol == default_rtol((2, 13))  # None resolves to the default for DF's shape
+    report = condition_numbers(problem, point, n_samples=2, seed=seed)
+    cert = report.certificate
+    assert cert.passed and not cert.fragile and (cert.r, cert.nullity_yz) == (1, 2)
+    kappas = condition_numbers_from_blocks(evaluate_blocks(problem, point), problem.rtol)[:3]
+    assert kappas == (report.kappa_y, report.kappa_z, report.kappa_yz)
+
+
+@pytest.mark.parametrize("rtol", [0.0, -1e-9, float("nan"), float("inf")])
+def test_problem_rejects_an_rtol_that_is_not_finite_and_positive(rtol):
+    problem, _ = polar_problem(0.0)
+    with pytest.raises(ValueError, match="rtol"):
+        dataclasses.replace(problem, rtol=rtol)
 
 
 def test_z_chart_invariance():

@@ -1,5 +1,6 @@
 import ast
 import itertools
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -277,6 +278,30 @@ def test_orthonormalize_cases():
     b = orthonormalize(np.ones((2, 2)), 1e-12)
     assert b.shape == (2, 1)
     assert subspace_distance(b, span_of([1.0, 1.0])) < 1e-12
+
+
+def test_subspace_distance_is_the_projector_distance():
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        n = int(rng.integers(1, 12))
+        b1 = np.linalg.qr(rng.standard_normal((n, int(rng.integers(0, n + 1)))))[0]
+        near = np.linalg.qr(b1 + 1e-9 * rng.standard_normal(b1.shape))[0]
+        for b2 in (near, np.linalg.qr(rng.standard_normal((n, int(rng.integers(0, n + 1)))))[0]):
+            expected = spectral_norm(b1 @ b1.T - b2 @ b2.T)
+            assert subspace_distance(b1, b2) == pytest.approx(expected, abs=1e-14)
+
+
+def test_subspace_distance_forms_no_n_by_n_matrix():
+    n = 2000
+    rng = np.random.default_rng(12)
+    b1, b2 = (np.linalg.qr(rng.standard_normal((n, 3)))[0] for _ in range(2))
+    tracemalloc.start()
+    try:
+        subspace_distance(b1, b2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
 
 
 def test_empty_matrices_flow_through():

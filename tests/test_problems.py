@@ -136,12 +136,27 @@ def test_spec_custom_linearized():
         ({"kind": "matrix_factorization", "m": True, "n": 3, "k_rank": 2}, "'m'"),
         ({"kind": "matrix_factorization", "m": 4, "n": 3, "k_rank": True}, "k_rank"),
         ({"kind": "matrix_factorization", "m": 4, "n": 3, "k_rank": 2, "seed": False}, "seed"),
+        ({"kind": "matrix_factorization", "m": 4, "n": 3, "k_rank": 2, "seed": -1},
+         "field 'seed' must be a nonnegative integer"),
     ],
 )
 def test_spec_errors_name_the_field(spec, field):
     with pytest.raises(SpecError) as err:
         problem_from_spec(spec)
     assert field in str(err.value)
+
+
+@pytest.mark.parametrize("kind", ["polar", "matrix_factorization", "tucker", "custom_linearized"])
+def test_spec_rtol_is_the_problem_rtol(kind):
+    tensor = random_tucker_point((4, 3), (2, 2), 13).product
+    spec = {
+        "polar": {"x0": 0.0},
+        "matrix_factorization": {"m": 4, "n": 3, "k_rank": 2},
+        "tucker": {"tensor": {"shape": [4, 3], "data": tensor.ravel().tolist()}, "ranks": [2, 2]},
+        "custom_linearized": {"J_x": [[1.0], [2.0]], "J_y": [[1.0, 0.0], [0.0, 1.0]]},
+    }[kind]
+    problem, _ = problem_from_spec({"kind": kind, **spec}, rtol=1e-9)
+    assert problem.rtol == 1e-9
 
 
 def test_spec_tucker_rank_mismatch(tmp_path):

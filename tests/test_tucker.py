@@ -162,8 +162,8 @@ def test_cross_validate_raises_on_certificate_failure(monkeypatch):
 
     real = tucker_mod.condition_numbers
 
-    def always_failing(problem, pt, rtol=None, **kwargs):
-        report = real(problem, pt, rtol, n_samples=0)
+    def always_failing(problem, pt, **kwargs):
+        report = real(problem, pt, n_samples=0)
         object.__setattr__(report.certificate, "passed", False)
         return report
 
@@ -199,8 +199,8 @@ def test_scale_covariance():
 
 
 def test_gauge_and_scale_checks_fail_on_a_failed_certificate(monkeypatch):
-    def failing(problem, pt, rtol=None, **kwargs):
-        cert = condition_numbers(problem, pt, rtol, **kwargs).certificate
+    def failing(problem, pt, **kwargs):
+        cert = condition_numbers(problem, pt, **kwargs).certificate
         return ConditionReport(None, None, None, None, dataclasses.replace(cert, passed=False, messages=("forced",)))
 
     monkeypatch.setattr(verify, "condition_numbers", failing)
