@@ -20,7 +20,8 @@ This module provides:
   ``[j_y  j_z]`` give the derivatives for ``y``, for ``z`` and for the pair;
 * the three condition numbers kappa_y, kappa_z and kappa_yz, where solving
   for the pair ``(y, z)`` is always at least as ill-conditioned as solving
-  for either variable alone;
+  for either variable alone, and from one solve those of any column groups
+  of ``(y, z)`` (:func:`group_condition_numbers`);
 * two independent reference routes, used only by the verification suite
   and the tests: an orthogonal elimination pipeline
   (:func:`solution_map_derivative`) and, for problems without latent
@@ -61,6 +62,7 @@ __all__ = [
     "CrepDims",
     "CrepPoint",
     "CrepProblem",
+    "GroupConditionReport",
     "JacobianBlocks",
     "RankCertificate",
     "RankHypothesisError",
@@ -72,12 +74,13 @@ __all__ = [
     "defining_equation_residuals",
     "evaluate_blocks",
     "fcre_solution_derivative",
+    "group_condition_numbers",
     "make_crep_point",
     "solution_map_derivative",
     "solution_map_derivative_minnorm",
 ]
 
-# Collects the reference blocks of the certify_crep call condition_numbers makes.
+# Collects the reference blocks of the certify_crep call _certified_blocks makes.
 _REFERENCE_BLOCKS: ContextVar[list | None] = ContextVar("_REFERENCE_BLOCKS", default=None)
 
 
@@ -175,8 +178,8 @@ class CrepProblem:
 
     ``rtol`` is the relative tolerance of every rank cut taken for the problem:
     the certificate's, the kappa stage's and the resolver's.  None (the default)
-    becomes ``default_rtol`` of DF's ambient shape at construction; a given
-    value must be finite and positive, or construction raises ``ValueError``.
+    becomes ``default_rtol`` of DF's ambient shape whenever it is set; a given
+    value must be finite and positive, or setting it raises ``ValueError``.
     """
 
     name: str
@@ -193,8 +196,10 @@ class CrepProblem:
     tangent_blocks: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None], tuple] | None = None
     rtol: float | None = None
 
-    def __post_init__(self):  # the one place a problem's default rank tolerance is resolved
-        self.rtol = _resolve_rtol(self.rtol, (self.dims.n_residual, sum(self.dims[:3])))
+    def __setattr__(self, name, value):  # the one place a problem's default rank tolerance is resolved
+        if name == "rtol":
+            value = _resolve_rtol(value, (self.dims.n_residual, sum(self.dims[:3])))
+        super().__setattr__(name, value)
 
 
 @dataclass(frozen=True)
@@ -411,17 +416,17 @@ def _yz_svd(blocks: JacobianBlocks, rtol: float | None) -> _Svd:
 
 
 def _minnorm_derivatives(
-    blocks: JacobianBlocks, rtol: float | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(DH_y, DH_z, DH_yz)`` from one minimum-norm solve of the linearised system.
+    blocks: JacobianBlocks, rtol: float | None, groups: dict[str, slice]
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """``DH`` of each column group of ``[j_y  j_z]`` (label -> slice) and ``DH_yz``, from
+    one minimum-norm solve of the linearised system.
 
     ``DH_yz`` is the minimum-norm solution of ``[j_y  j_z] d = -j_x``.
     Every solution differs from it by a kernel vector of ``[j_y  j_z]``, so
-    the minimum-norm output (latent) component is its output (latent) rows
-    projected off the span of the matching kernel rows.
+    the minimum-norm component of a group is its rows of ``d`` projected off
+    the span of the matching kernel rows.
     """
     j_x, j_y, j_z = blocks.j_x, blocks.j_y, blocks.j_z
-    dim_y = j_y.shape[1]
     # One SVD serves the scale, the solve and the kernel.
     f = _yz_svd(blocks, rtol)
     try:
@@ -430,14 +435,12 @@ def _minnorm_derivatives(
         raise RankHypothesisError(f"linearised system is inconsistent: {exc}") from exc
     kern = f.vh[f.rank :].T
 
-    def project_off_kernel(part, kern_rows):
-        g = _svd(kern_rows, rtol, scale=1.0)  # rows of the orthonormal kernel basis
+    def project_off_kernel(cols):
+        g = _svd(kern[cols], rtol, scale=1.0)  # rows of the orthonormal kernel basis
         b = g.u[:, : g.rank]
-        return part - b @ (b.T @ part)
+        return dh_yz[cols] - b @ (b.T @ dh_yz[cols])
 
-    dh_y = project_off_kernel(dh_yz[:dim_y], kern[:dim_y])
-    dh_z = project_off_kernel(dh_yz[dim_y:], kern[dim_y:])
-    return dh_y, dh_z, dh_yz
+    return {label: project_off_kernel(cols) for label, cols in groups.items()}, dh_yz
 
 
 def solution_map_derivative_minnorm(blocks: JacobianBlocks, rtol: float | None = None) -> np.ndarray:
@@ -453,7 +456,7 @@ def solution_map_derivative_minnorm(blocks: JacobianBlocks, rtol: float | None =
     same solve gives every derivative :func:`condition_numbers_from_blocks`
     reports; :func:`solution_map_derivative` is the independent reference.
     """
-    return _minnorm_derivatives(blocks, rtol)[0]
+    return _minnorm_derivatives(blocks, rtol, {"y": slice(0, blocks.j_y.shape[1])})[0]["y"]
 
 
 def fcre_solution_derivative(j_x, j_y, rtol: float | None = None) -> np.ndarray:
@@ -502,9 +505,9 @@ class RankCertificate:
     """Result of checking the constant-rank hypotheses at sampled solutions.
 
     ``r`` is the common rank of the full Jacobian and of ``[j_y j_z]``;
-    ``k`` the rank of ``j_z``.  ``fragile`` flags a singular-value gap
-    around some rank cut below 10x the tolerance, meaning the certificate
-    is sensitive to the tolerance choice.
+    ``k`` the rank of ``j_z`` (see :func:`certify_crep` for groups).  ``fragile``
+    flags a singular-value gap around some rank cut below 10x the tolerance,
+    meaning the certificate is sensitive to the tolerance choice.
     """
 
     r: int
@@ -526,20 +529,21 @@ def _unit_direction(seed, i: int, dim: int) -> np.ndarray:
     return u / float(np.linalg.norm(u)) if dim else u
 
 
-def _rank_checks(blocks: JacobianBlocks, dims: CrepDims, rtol: float):
-    d_df = numerical_rank(np.hstack([blocks.j_x, blocks.j_y, blocks.j_z]), rtol)
+def _rank_checks(blocks: JacobianBlocks, dims: CrepDims, rtol: float, groups: dict[str, slice]):
+    df = np.hstack([blocks.j_x, blocks.j_y, blocks.j_z])
+    d_df = numerical_rank(df, rtol)
     f_yz = _yz_svd(blocks, rtol)
     d_yz = RankDecision(rank=f_yz.rank, singular_values=f_yz.s, tolerance_used=f_yz.tol)
-    d_z = numerical_rank(blocks.j_z, rtol)
+    j_yz = df[:, blocks.j_x.shape[1] :]
+    d_k = {label: numerical_rank(np.delete(j_yz, cols, axis=1), rtol) for label, cols in groups.items()}
     r = d_yz.rank
-    k = d_z.rank
     nullity_yz = dims.dim_y + dims.dim_z - r
     problems = []
     # rank DF = r is the same statement as nullity DF = dim_x + nullity [j_y j_z].
     if d_df.rank != r:
         problems.append(f"rank DF = {d_df.rank} differs from rank [j_y j_z] = {r}")
-    gap = min(d.gap_at_cut() for d in (d_df, d_yz, d_z))
-    return r, k, d_df, nullity_yz, gap, problems
+    gap = min(d.gap_at_cut() for d in (d_df, d_yz, *d_k.values()))
+    return r, {label: d.rank for label, d in d_k.items()}, d_df, nullity_yz, gap, problems
 
 
 def certify_crep(
@@ -548,6 +552,8 @@ def certify_crep(
     n_samples: int = 4,
     radius: float | None = None,
     seed: int = 0,
+    *,
+    groups: dict[str, slice] | None = None,
 ) -> RankCertificate:
     """Certify the constant-rank hypotheses at ``point`` and nearby solutions.
 
@@ -559,6 +565,12 @@ def certify_crep(
     failures are counted and the sample is skipped.  ``radius`` must be
     finite and positive: at radius 0 every sample is the reference point.
     Every rank cut, the resolver's included, is taken at ``problem.rtol``.
+
+    ``groups`` maps labels to column ranges ``slice(start, stop)`` of
+    ``[j_y j_z]``; for each, the rank ``k`` of ``[j_y j_z]`` without those
+    columns must not change, and a message for a change names the group.
+    The certificate records the first group's ``k``.  None is the one group
+    ``y``, whose ``k`` is the rank of ``j_z``.
     """
     if n_samples < 0:
         raise ValueError("n_samples must be nonnegative")
@@ -567,12 +579,18 @@ def certify_crep(
     if not (np.isfinite(radius) and radius > 0.0):
         raise ValueError(f"radius must be finite and positive, got {radius}")
     dims, rtol = problem.dims, problem.rtol
+    n_cols, named = dims.dim_y + dims.dim_z, groups is not None
+    if groups is None:
+        groups = {"y": slice(0, dims.dim_y)}
+    elif not groups or any(not isinstance(c, slice) or c != slice(*c.indices(n_cols)[:2]) or c.start >= c.stop
+                           for c in groups.values()):
+        raise ValueError(f"groups must be nonempty ranges slice(start, stop) of the {n_cols} columns of [y z], got {groups}")
 
     blocks0 = evaluate_blocks(problem, point)
     blocks0 = replace(blocks0, _yz=_yz_svd(blocks0, rtol))  # one SVD, shared with the kappa stage
     if (sink := _REFERENCE_BLOCKS.get()) is not None:
         sink.append(blocks0)
-    r0, k0, d_df0, nullity0, gap0, messages = _rank_checks(blocks0, dims, rtol)
+    r0, k0, d_df0, nullity0, gap0, messages = _rank_checks(blocks0, dims, rtol, groups)
     min_gap = gap0
     tolerance_abs = max(d_df0.tolerance_used, rtol * 1e-300)  # rtol * sigma_max(DF)
 
@@ -590,20 +608,22 @@ def certify_crep(
         j_x, j_y, j_z, f_yz = result._evaluation  # the resolver's last evaluation
         j_x = _x_block(problem, j_x, x_pert, result.y, result.z)
         blocks_i = JacobianBlocks(j_x, j_y, j_z, _yz=f_yz)
-        r_i, k_i, rank_df_i, _, gap_i, problems_i = _rank_checks(blocks_i, dims, rtol)
+        r_i, k_i, rank_df_i, _, gap_i, problems_i = _rank_checks(blocks_i, dims, rtol, groups)
         min_gap = min(min_gap, gap_i)
         samples_checked += 1
         for msg in problems_i:
             messages.append(f"sample {i}: {msg}")
-        if (r_i, k_i) != (r0, k0):
-            messages.append(f"sample {i}: ranks (r={r_i}, k={k_i}) differ from reference (r={r0}, k={k0})")
+        for label in groups:
+            if (r_i, k_i[label]) != (r0, k0[label]):
+                messages.append(f"sample {i}: ranks (r={r_i}, k={k_i[label]}) differ from reference "
+                                f"(r={r0}, k={k0[label]})" + (f" for group {label}" if named else ""))
 
     if n_samples > 0 and samples_checked == 0:
         messages.append("no perturbed sample could be re-solved; constancy not verifiable")
     passed = not messages
     return RankCertificate(
         r=r0,
-        k=k0,
+        k=next(iter(k0.values())),
         rank_df=d_df0.rank,
         nullity_yz=nullity0,
         samples_checked=samples_checked,
@@ -647,8 +667,20 @@ def condition_numbers_from_blocks(
     linearised system (see :func:`solution_map_derivative_minnorm`); ``rtol``
     None cuts each matrix at the default for its own shape.
     """
-    dh, dh_z, dh_yz = _minnorm_derivatives(blocks, rtol)
-    return spectral_norm(dh), spectral_norm(dh_z), spectral_norm(dh_yz), dh
+    dim_y = blocks.j_y.shape[1]
+    dhs, dh_yz = _minnorm_derivatives(blocks, rtol, {"y": slice(0, dim_y), "z": slice(dim_y, None)})
+    return spectral_norm(dhs["y"]), spectral_norm(dhs["z"]), spectral_norm(dh_yz), dhs["y"]
+
+
+def _certified_blocks(problem, point, groups, n_samples, radius, seed) -> tuple[RankCertificate, JacobianBlocks | None]:
+    """:func:`certify_crep`'s certificate and, if it passed, the reference blocks it evaluated."""
+    evaluated: list[JacobianBlocks] = []
+    token = _REFERENCE_BLOCKS.set(evaluated)
+    try:
+        certificate = certify_crep(problem, point, n_samples=n_samples, radius=radius, seed=seed, groups=groups)
+    finally:
+        _REFERENCE_BLOCKS.reset(token)
+    return certificate, evaluated[0] if certificate.passed else None
 
 
 def condition_numbers(
@@ -666,15 +698,34 @@ def condition_numbers(
     carries the failed certificate and ``None`` condition numbers instead of
     numeric sentinels.
     """
-    evaluated: list[JacobianBlocks] = []
-    token = _REFERENCE_BLOCKS.set(evaluated)
-    try:
-        certificate = certify_crep(problem, point, n_samples=n_samples, radius=radius, seed=seed)
-    finally:
-        _REFERENCE_BLOCKS.reset(token)
-    if not certificate.passed:
+    certificate, blocks = _certified_blocks(problem, point, None, n_samples, radius, seed)
+    if blocks is None:
         return ConditionReport(kappa_y=None, kappa_z=None, kappa_yz=None, dh=None, certificate=certificate)
-    kappa_y, kappa_z, kappa_yz, dh = condition_numbers_from_blocks(evaluated[0], problem.rtol)
+    kappa_y, kappa_z, kappa_yz, dh = condition_numbers_from_blocks(blocks, problem.rtol)
     return ConditionReport(
         kappa_y=kappa_y, kappa_z=kappa_z, kappa_yz=kappa_yz, dh=dh, certificate=certificate
     )
+
+
+@dataclass(frozen=True)
+class GroupConditionReport:
+    """Condition numbers at a certified point of each column group of ``(y, z)`` (by
+    label, the rest latent) and of all of ``(y, z)``; ``None`` when the certificate failed."""
+
+    kappas: dict[str, float] | None
+    kappa_all: float | None
+    certificate: RankCertificate
+
+
+def group_condition_numbers(
+    problem: CrepProblem, point: CrepPoint, groups: dict[str, slice], *, n_samples: int = 4,
+    radius: float | None = None, seed: int = 0,
+) -> GroupConditionReport:
+    """Certify ``point`` once, checking every group (see :func:`certify_crep`), and compute each
+    group's condition number.  Solving for one group with the rest latent only permutes the
+    columns of ``[j_y j_z]``, so one minimum-norm solve and kernel give every group's ``DH``."""
+    certificate, blocks = _certified_blocks(problem, point, groups, n_samples, radius, seed)
+    if blocks is None:
+        return GroupConditionReport(None, None, certificate)
+    dhs, dh_all = _minnorm_derivatives(blocks, problem.rtol, groups)
+    return GroupConditionReport({label: spectral_norm(dh) for label, dh in dhs.items()}, spectral_norm(dh_all), certificate)

@@ -12,7 +12,8 @@ Closed forms exist for every variable: the condition number of factor
 ``U_d`` is zero when ``U_d`` is square and otherwise the reciprocal of the
 smallest singular value of the mode-``d`` core flattening, and the
 condition number of the core is exactly one.  :func:`cross_validate` checks
-these against the general pipeline on any instance.
+these against the general pipeline on any instance, taking every variable's
+from one evaluation, certificate and factorization of the core problem.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .crep import (
     CrepProblem,
     RankHypothesisError,
     TangentChart,
-    condition_numbers,
+    group_condition_numbers,
     make_crep_point,
 )
 from .linalg import _svd
@@ -125,25 +126,17 @@ def build_tucker_crep(config: TuckerCrepConfig) -> tuple[CrepProblem, CrepPoint]
     dim_x = mlrank_tangent_dim(shape, ranks)
     out = "core" if config.output_variable == "core" else int(config.output_variable)
     canonical: list[int | str] = ["core"] + list(range(order))
-    z_comps = [c for c in canonical if c != out]
+    comps = [out] + [c for c in canonical if c != out]  # packed in this order in (y, z)
+    shape_of = {c: ranks if c == "core" else (shape[c], ranks[c]) for c in canonical}
+    size = {c: int(np.prod(shape_of[c], dtype=int)) for c in canonical}
 
-    def comp_shape(c):
-        return ranks if c == "core" else (shape[c], ranks[c])
-
-    def comp_size(c):
-        return int(np.prod(comp_shape(c), dtype=int))
-
-    z_sizes = [comp_size(c) for c in z_comps]
-    z_offsets = np.concatenate([[0], np.cumsum(z_sizes)]).astype(int)
+    def split(vec, cs):  # the variables cs, packed in this order in vec
+        vec, ends = np.asarray(vec, dtype=float), np.cumsum([size[c] for c in cs]).tolist()
+        return {c: vec[end - size[c] : end].reshape(shape_of[c]) for c, end in zip(cs, ends)}
 
     def unpack(y_vec, z_vec):
-        vals = {out: np.asarray(y_vec, dtype=float).reshape(comp_shape(out))}
-        z_vec = np.asarray(z_vec, dtype=float)
-        for c, lo, hi in zip(z_comps, z_offsets[:-1], z_offsets[1:]):
-            vals[c] = z_vec[lo:hi].reshape(comp_shape(c))
-        core = vals["core"]
-        factors = [vals[d] for d in range(order)]
-        return core, factors
+        vals = {**split(y_vec, comps[:1]), **split(z_vec, comps[1:])}
+        return vals["core"], [vals[d] for d in range(order)]
 
     def residual(x, y_vec, z_vec):
         core, factors = unpack(y_vec, z_vec)
@@ -153,7 +146,7 @@ def build_tucker_crep(config: TuckerCrepConfig) -> tuple[CrepProblem, CrepPoint]
         core, factors = unpack(y_vec, z_vec)
         parts = {d: _factor_directions(factors, core, d, -np.eye(shape[d])) for d in range(order)}
         parts["core"] = -_kron_chain(factors)
-        return None, parts[out], np.hstack([parts[c] for c in z_comps])
+        return None, parts[out], np.hstack([parts[c] for c in comps[1:]])
 
     def tangent_blocks(x, y_vec, z_vec, r):
         # Rows are coordinates in q, the x-chart basis at (core, factors) (mlrank_tangent_basis):
@@ -186,8 +179,8 @@ def build_tucker_crep(config: TuckerCrepConfig) -> tuple[CrepProblem, CrepPoint]
         basis = {c: _stiefel_basis(factors[c], perp, skew[c]) for c, (perp, _) in enumerate(frames)}
         basis["core"] = np.eye(core.size)
         return (np.eye(dim_x), j_yz[:, : dims.dim_y], j_yz[:, dims.dim_y :], qr,
-                TangentChart(comp_size(out), basis[out]),
-                TangentChart(int(z_offsets[-1]), _block_diag([basis[c] for c in z_comps])))
+                TangentChart(size[out], basis[out]),
+                TangentChart(sum(size[c] for c in comps[1:]), _block_diag([basis[c] for c in comps[1:]])))
 
     def x_chart(x, y_vec, z_vec):
         core, factors = unpack(y_vec, z_vec)
@@ -202,27 +195,16 @@ def build_tucker_crep(config: TuckerCrepConfig) -> tuple[CrepProblem, CrepPoint]
     def x_retract(x, dx):
         return hosvd((np.asarray(x) + dx).reshape(shape), ranks, rtol).product.ravel()
 
-    def retract_comp(c, value, delta):
-        moved = value + delta
-        if c == "core":
-            return moved
-        return _polar_retract(moved.reshape(comp_shape(c))).ravel()
-
-    def y_retract(y_vec, dy):
-        return retract_comp(out, y_vec, dy)
-
-    def z_retract(z_vec, dz):
-        moved = []
-        w = np.asarray(z_vec, dtype=float)
-        dz = np.asarray(dz, dtype=float)
-        for c, lo, hi in zip(z_comps, z_offsets[:-1], z_offsets[1:]):
-            moved.append(retract_comp(c, w[lo:hi], dz[lo:hi]))
-        return np.concatenate(moved) if moved else w
+    def retract(cs):  # the core moves flat, each factor by the polar retraction
+        def moved(vec, delta):
+            parts = split(np.asarray(vec, dtype=float) + delta, cs).items()
+            return np.concatenate([(v if c == "core" else _polar_retract(v)).ravel() for c, v in parts])
+        return moved
 
     dim_of = {c: (int(np.prod(ranks, dtype=int)) if c == "core" else stiefel_tangent_dim(shape[c], ranks[c])) for c in canonical}
-    dims = CrepDims(dim_x, dim_of[out], sum(dim_of[c] for c in z_comps), n_res)
+    dims = CrepDims(dim_x, dim_of[out], sum(dim_of[c] for c in comps[1:]), n_res)
     # Layout of tangent_blocks: columns of [j_y j_z] per variable, rows of q per block.
-    col_start = dict(zip([out] + z_comps, np.cumsum([0] + [dim_of[c] for c in [out] + z_comps]).tolist()))
+    col_start = dict(zip(comps, np.cumsum([0] + [dim_of[c] for c in comps]).tolist()))
     row_start = np.cumsum([dim_of["core"]] + [(n - m) * m for n, m in zip(shape, ranks)]).tolist()
     skew = [_skew_generators(m) for m in ranks]
 
@@ -238,14 +220,13 @@ def build_tucker_crep(config: TuckerCrepConfig) -> tuple[CrepProblem, CrepPoint]
         y_chart=y_chart,
         z_chart=z_chart,
         x_retract=x_retract,
-        y_retract=y_retract,
-        z_retract=z_retract,
+        y_retract=retract(comps[:1]),
+        z_retract=retract(comps[1:]),
         scale=scale,
         tangent_blocks=tangent_blocks,
         rtol=rtol,
     )
-    z0 = np.concatenate([pack[c] for c in z_comps]) if z_comps else np.zeros(0)
-    point = make_crep_point(problem, x0, pack[out], z0)
+    point = make_crep_point(problem, x0, pack[out], np.concatenate([pack[c] for c in comps[1:]]))
     return problem, point
 
 
@@ -316,32 +297,32 @@ def cross_validate(
 ) -> CrossValidation:
     """Compare closed-form and general-pipeline condition numbers.
 
-    For the core and every factor, the instance is assembled as an
-    elimination problem, certified, and solved with the general pipeline;
-    the result is compared against the closed form.  The combined
-    condition number (all variables as output) is also checked against the
+    The instance is assembled once, as the problem for the core with the
+    factors latent.  Solving for any other variable only permutes the
+    columns of its ``[j_y j_z]``, so one certificate of every variable's
+    ranks (:func:`group_condition_numbers`) and one solve give each
+    variable's condition number, compared against its closed form.  The
+    combined one (all variables as output) is also checked against the
     maximum of the individual ones.  Raises :class:`CertificationError` if
-    any rank certificate fails.
+    the rank certificate fails.
     """
     closed = closed_form_kappas(point, rtol)
-    entries = []
-    kappa_all_general = None
-    for var in ["core"] + list(range(point.order)):
-        problem, pt = build_tucker_crep(TuckerCrepConfig(point, var, rtol))
-        report = condition_numbers(problem, pt, n_samples=n_cert_samples, seed=seed)
-        if not report.certificate.passed:
-            raise CertificationError(
-                f"rank certificate failed for {problem.name}: {'; '.join(report.certificate.messages)}"
-            )
-        kappa = closed[variable_label(var)]
-        rel = abs(report.kappa_y - kappa) / (1.0 + kappa)
-        entries.append(VariableComparison(variable_label(var), kappa, report.kappa_y, rel))
-        if var == "core":
-            kappa_all_general = report.kappa_yz
-    rel_all = abs(kappa_all_general - closed["all"]) / (1.0 + closed["all"])
+    problem, pt = build_tucker_crep(TuckerCrepConfig(point, "core", rtol))
+    # The columns of the core problem's [j_y j_z]: the core, then U1 .. UD in their full Stiefel charts.
+    sizes = [problem.dims.dim_y] + [stiefel_tangent_dim(n, m) for n, m in zip(point.shape, point.ranks)]
+    ends = np.cumsum(sizes).tolist()
+    groups = {variable_label(var): slice(end - size, end) for var, size, end in zip(["core", *range(point.order)], sizes, ends)}
+    report = group_condition_numbers(problem, pt, groups, n_samples=n_cert_samples, seed=seed)
+    if not report.certificate.passed:
+        raise CertificationError(f"rank certificate failed for {problem.name}: {'; '.join(report.certificate.messages)}")
+    entries = tuple(
+        VariableComparison(label, closed[label], kappa, abs(kappa - closed[label]) / (1.0 + closed[label]))
+        for label, kappa in report.kappas.items()
+    )
+    rel_all = abs(report.kappa_all - closed["all"]) / (1.0 + closed["all"])
     return CrossValidation(
-        entries=tuple(entries),
-        kappa_all_general=kappa_all_general,
+        entries=entries,
+        kappa_all_general=report.kappa_all,
         kappa_all_expected=closed["all"],
         rel_diff_all=rel_all,
         max_rel_diff=max([e.rel_diff for e in entries] + [rel_all]),

@@ -356,6 +356,19 @@ def check_tucker_closed_form(seed=0, n_instances=10, tol=1e-6, budget_seconds=60
     return _result("closed-form reproduction", worst, tol, detail)
 
 
+def check_grouped_kappas(seed=0, n_instances=10, tol=1e-12) -> CheckResult:
+    """``cross_validate``'s kappas, every variable's from one certificate and solve per
+    point, equal those of the per-variable route, one problem per output variable."""
+    worst = 0.0
+    for point in _tucker_instance_pool(seed, n_instances):
+        cv = cross_validate(point, n_cert_samples=1, seed=seed)
+        reports = [condition_numbers(*build_tucker_crep(TuckerCrepConfig(point, var)), n_samples=0)
+                   for var in ["core", *range(point.order)]]
+        pairs = [(e.kappa_general, r.kappa_y) for e, r in zip(cv.entries, reports)] + [(cv.kappa_all_general, reports[0].kappa_yz)]
+        worst = max([worst] + [abs(a - b) / (1.0 + b) for a, b in pairs])
+    return _result("grouped vs per-variable kappa", worst, tol, f"{n_instances} instances, every variable")
+
+
 def check_square_branch(seed=0, tol=1e-8) -> CheckResult:
     """With all factors square, every factor condition number is 0 and the
     combined one is 1."""
@@ -585,6 +598,7 @@ FULL_EXTRA = [
     lambda seed: check_z_chart_invariance(seed, n_trials=100),
     lambda seed: check_monotonicity(seed, n_linearized=100),
     lambda seed: check_tucker_closed_form(seed, n_instances=50),
+    lambda seed: check_grouped_kappas(seed),
     lambda seed: check_finite_difference(seed),
     lambda seed: check_empirical_bounds(seed),
 ]

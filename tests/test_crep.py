@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from crepcond.crep import (
+    CrepDims,
+    CrepProblem,
     JacobianBlocks,
     RankHypothesisError,
     TangentChart,
@@ -14,6 +16,7 @@ from crepcond.crep import (
     defining_equation_residuals,
     evaluate_blocks,
     fcre_solution_derivative,
+    group_condition_numbers,
     make_crep_point,
     solution_map_derivative,
     solution_map_derivative_minnorm,
@@ -488,6 +491,84 @@ def test_problem_rejects_an_rtol_that_is_not_finite_and_positive(rtol):
     problem, _ = polar_problem(0.0)
     with pytest.raises(ValueError, match="rtol"):
         dataclasses.replace(problem, rtol=rtol)
+
+
+def test_assigning_rtol_resolves_and_checks_it():
+    problem, point = polar_problem(0.0)
+    default = default_rtol((problem.dims.n_residual, sum(problem.dims[:3])))
+    assert problem.rtol == default
+    problem.rtol = 1e-9
+    assert problem.rtol == 1e-9
+    problem.rtol = None
+    assert problem.rtol == default
+    assert condition_numbers(problem, point, n_samples=1).certificate.passed
+    with pytest.raises(ValueError, match="rtol"):
+        problem.rtol = -1.0
+    assert problem.rtol == default
+
+
+def _grouped_rank_change_problem():
+    """``F(x, w) = A(x) w - x`` with ``w = (y, z1, z2)`` and ``A(x) = [[1, 0, 1], [0, 1, x1]]``.
+
+    At ``x = 0`` the columns of y and z2 are parallel and nearby they are not, so
+    rank ``[j_y j_z]`` and the rank without y's columns (of ``j_z``) stay 2 while the
+    rank without z1's columns goes from 1 to 2."""
+
+    def a(x):
+        return np.array([[1.0, 0.0, 1.0], [0.0, 1.0, x[0]]])
+
+    def residual(x, y, z):
+        return a(x) @ np.concatenate([y, z]) - x
+
+    def jacobian(x, y, z):
+        j = a(x)
+        return np.array([[-1.0, 0.0], [z[1], -1.0]]), j[:, :1], j[:, 1:]
+
+    def chart(dim):
+        return lambda x, y, z: TangentChart.full(dim)
+
+    problem = CrepProblem(
+        name="grouped-rank-change", dims=CrepDims(2, 1, 2, 2), residual=residual, jacobian=jacobian,
+        x_chart=chart(2), y_chart=chart(1), z_chart=chart(2),
+    )
+    return problem, make_crep_point(problem, [0.0, 0.0], [0.0], [0.0, 0.0])
+
+
+GROUPS = {"y": slice(0, 1), "z1": slice(1, 2), "z2": slice(2, 3)}
+
+
+def test_group_certificate_fails_when_a_later_group_changes_rank():
+    problem, point = _grouped_rank_change_problem()
+    assert certify_crep(problem, point, n_samples=2, radius=1e-3).passed
+    cert = certify_crep(problem, point, n_samples=2, radius=1e-3, groups=GROUPS)
+    assert not cert.passed and cert.samples_checked == 2
+    assert (cert.r, cert.k) == (2, 2)  # k is the first group's
+    assert list(cert.messages) == [
+        f"sample {i}: ranks (r=2, k=2) differ from reference (r=2, k=1) for group z1" for i in range(2)
+    ]
+    report = group_condition_numbers(problem, point, GROUPS, n_samples=2, radius=1e-3)
+    assert report.kappas is None and report.kappa_all is None and report.certificate == cert
+
+
+def test_group_kappas_of_y_and_z_are_the_condition_numbers():
+    for i in range(20):
+        blocks = random_linearized_blocks((105, i))
+        problem, point = linearized_problem(blocks.j_x, blocks.j_y, blocks.j_z)
+        dim_y, dim_z = problem.dims.dim_y, problem.dims.dim_z
+        groups = {"y": slice(0, dim_y), "z": slice(dim_y, dim_y + dim_z)}
+        report = condition_numbers(problem, point, n_samples=1, seed=i)
+        grouped = group_condition_numbers(problem, point, groups, n_samples=1, seed=i)
+        assert grouped.certificate.passed == report.certificate.passed
+        if report.certificate.passed:
+            assert grouped.kappas == {"y": report.kappa_y, "z": report.kappa_z}
+            assert grouped.kappa_all == report.kappa_yz
+
+
+@pytest.mark.parametrize("groups", [{}, {"a": slice(1, 1)}, {"a": slice(0, 4)}, {"a": slice(0, 3, 2)}, {"a": [0]}])
+def test_certify_rejects_groups_that_are_not_column_ranges(groups):
+    problem, point = _grouped_rank_change_problem()
+    with pytest.raises(ValueError, match="group"):
+        certify_crep(problem, point, n_samples=0, groups=groups)
 
 
 def test_z_chart_invariance():

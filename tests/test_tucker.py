@@ -11,11 +11,13 @@ from crepcond import verify
 from crepcond.crep import (
     CertificationError,
     ConditionReport,
+    GroupConditionReport,
     RankHypothesisError,
     certify_crep,
     chart_blocks,
     condition_numbers,
     evaluate_blocks,
+    group_condition_numbers,
     solution_map_derivative,
 )
 from crepcond.linalg import numerical_rank
@@ -34,6 +36,7 @@ from crepcond.tucker import (
     random_stiefel,
     random_tucker_point,
     regauge,
+    variable_label,
 )
 
 
@@ -160,14 +163,14 @@ def test_cross_validate_raises_on_certificate_failure(monkeypatch):
     point = random_tucker_point((4, 3), (2, 2), 60)
     from crepcond import tucker as tucker_mod
 
-    real = tucker_mod.condition_numbers
+    real = tucker_mod.group_condition_numbers
 
-    def always_failing(problem, pt, **kwargs):
-        report = real(problem, pt, n_samples=0)
+    def always_failing(problem, pt, groups, **kwargs):
+        report = real(problem, pt, groups, n_samples=0)
         object.__setattr__(report.certificate, "passed", False)
         return report
 
-    monkeypatch.setattr(tucker_mod, "condition_numbers", always_failing)
+    monkeypatch.setattr(tucker_mod, "group_condition_numbers", always_failing)
     with pytest.raises(CertificationError):
         cross_validate(point, n_cert_samples=0)
 
@@ -203,8 +206,12 @@ def test_gauge_and_scale_checks_fail_on_a_failed_certificate(monkeypatch):
         cert = condition_numbers(problem, pt, **kwargs).certificate
         return ConditionReport(None, None, None, None, dataclasses.replace(cert, passed=False, messages=("forced",)))
 
+    def failing_groups(problem, pt, groups, **kwargs):
+        cert = group_condition_numbers(problem, pt, groups, **kwargs).certificate
+        return GroupConditionReport(None, None, dataclasses.replace(cert, passed=False, messages=("forced",)))
+
     monkeypatch.setattr(verify, "condition_numbers", failing)
-    monkeypatch.setattr(tucker_module, "condition_numbers", failing)
+    monkeypatch.setattr(tucker_module, "group_condition_numbers", failing_groups)
     for result in (verify.check_gauge_invariance(trials=1), verify.check_scale_covariance()):
         assert not result.passed and "forced" in result.detail
 
@@ -405,6 +412,33 @@ def test_kernel_rows_of_roundoff_do_not_cut_the_output_derivative():
     report = condition_numbers(problem, pt, n_samples=2)
     assert report.certificate.passed
     assert report.kappa_y == pytest.approx(closed_form_kappa_factor(point.core, 2, 2), rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "shape, ranks, seed",
+    [((6, 5, 4), (3, 3, 2), 0), ((6, 5, 4), (3, 3, 2), 1), ((5, 4, 2), (3, 2, 2), 67), ((4, 3, 2), (2, 2, 1), 5),
+     ((5, 4, 3, 3), (2, 2, 2, 2), 7)],
+)
+def test_grouped_kappas_equal_per_variable_kappas(shape, ranks, seed):
+    # A square mode (5, 4, 2), the rank-one last mode (4, 3, 2) and an order-4 point among them.
+    point = random_tucker_point(shape, ranks, seed)
+    cv = cross_validate(point, n_cert_samples=1, seed=0)
+    for entry, var in zip(cv.entries, ["core", *range(point.order)], strict=True):
+        report = condition_numbers(*build_tucker_crep(TuckerCrepConfig(point, var)), n_samples=1, seed=0)
+        assert entry.variable == variable_label(var)
+        assert abs(entry.kappa_general - report.kappa_y) <= 1e-14 * (1 + report.kappa_y)
+        if var == "core":
+            assert abs(cv.kappa_all_general - report.kappa_yz) <= 1e-14 * (1 + report.kappa_yz)
+
+
+def test_cross_validate_takes_one_certificate_per_point(monkeypatch):
+    point = random_tucker_point((8, 8, 8), (3, 3, 3), (1, 0))
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
+    cv = cross_validate(point, n_cert_samples=2, seed=1)
+    assert cv.max_rel_diff < 1e-8
+    assert len(calls) <= 120  # one evaluation, certificate and solve for all four variables
 
 
 def test_cross_validate_factors_no_residual_sized_matrix(monkeypatch):
