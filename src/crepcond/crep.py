@@ -44,15 +44,16 @@ import numpy as np
 from .linalg import (
     InconsistentSystemError,
     _is_orthonormal,
+    _lstsq,
     _resolve_rtol,
     _solve,
     _svd,
     _Svd,
     RankDecision,
     as_matrix,
-    complement_basis,
     kernel_basis,
     numerical_rank,
+    orthonormalize,
     spectral_norm,
 )
 
@@ -339,30 +340,26 @@ def evaluate_blocks(problem: CrepProblem, point: CrepPoint) -> JacobianBlocks:
 # ---------------------------------------------------------------------------
 # Solution-map derivative.
 
-def _elimination_bases(blocks: JacobianBlocks, rtol: float | None) -> tuple[np.ndarray, np.ndarray]:
-    """``q``, a basis of span(j_z)-perp, and ``u_y``, the output rows of a
-    kernel basis of ``[j_y  j_z]``: the two bases of the elimination system."""
-    j_yz = np.hstack([blocks.j_y, blocks.j_z])
-    q = complement_basis(blocks.j_z, rtol)
-    kern = kernel_basis(j_yz, rtol)
-    return q, kern[: blocks.j_y.shape[1], :]
+def _elimination_bases(blocks: JacobianBlocks) -> tuple[np.ndarray, np.ndarray]:
+    """The elimination system's bases: ``u`` of span(j_z) and ``u_y``, output rows of one of ker [j_y j_z]."""
+    return orthonormalize(blocks.j_z), kernel_basis(np.hstack([blocks.j_y, blocks.j_z]))[: blocks.j_y.shape[1], :]
 
 
-def solution_map_derivative(blocks: JacobianBlocks, rtol: float | None = None) -> np.ndarray:
+def solution_map_derivative(blocks: JacobianBlocks) -> np.ndarray:
     """Derivative ``DH`` of the canonical solution map, by orthogonal elimination.
 
     The reference route that the verification suite and the tests check
     the production min-norm route (:func:`solution_map_derivative_minnorm`)
     against.
 
-    The latent block is eliminated by restricting the linearised system to
-    the orthogonal complement of its column span, and the solution is made
-    unique by requiring it to be orthogonal to the output-projection of the
-    kernel of ``[j_y  j_z]``:
+    The latent block is eliminated by projecting the linearised system off
+    its column span, and the solution is made unique by requiring it to be
+    orthogonal to the output-projection of the kernel of ``[j_y  j_z]``
+    (each rank cut at the default for its matrix's shape):
 
-        q  = orthonormal basis of span(j_z)-perp
+        u  = orthonormal basis of span(j_z),  P m = m - u (u.T m)
         u_y = output rows of an orthonormal kernel basis of [j_y  j_z]
-        [q.T j_y; u_y.T] @ DH = [-q.T j_x; 0]
+        [P j_y; u_y.T] @ DH = [-P j_x; 0]
 
     The stacked coefficient matrix always has full column rank when the
     constant-rank hypotheses hold, so any left inverse gives the same DH;
@@ -375,7 +372,8 @@ def solution_map_derivative(blocks: JacobianBlocks, rtol: float | None = None) -
     even though DH itself may be perfectly conditioned.  Roundoff of
     relative size ``rtol`` then comes back in DH amplified by the stacked
     system's condition number, which no residual check sees when that
-    system is square (as on blocks in compressed residual coordinates).
+    system is square once ``P`` has removed the latent span (as on blocks
+    in compressed residual coordinates).
     So the route raises :class:`crepcond.linalg.InconsistentSystemError`
     when that condition number exceeds ``1 / sqrt(rtol)`` (the bound
     ``rtol * cond`` on DH's relative error passes ``sqrt(rtol)``), as well
@@ -388,9 +386,9 @@ def solution_map_derivative(blocks: JacobianBlocks, rtol: float | None = None) -
     dim_x, dim_y = j_x.shape[1], j_y.shape[1]
     if dim_y == 0:
         return np.zeros((0, dim_x))
-    q, u_y = _elimination_bases(blocks, rtol)
-    a = np.vstack([q.T @ j_y, u_y.T])
-    f = _svd(a, rtol)
+    u, u_y = _elimination_bases(blocks)
+    a = np.vstack([j_y - u @ (u.T @ j_y), u_y.T])
+    f = _svd(a)
     if f.rank < dim_y:
         raise RankHypothesisError(
             f"elimination system is rank deficient ({f.rank} < {dim_y}); "
@@ -401,7 +399,7 @@ def solution_map_derivative(blocks: JacobianBlocks, rtol: float | None = None) -
             f"elimination system has condition number {f.norm / f.s[dim_y - 1]:.3e} > 1/sqrt(rtol) = "
             f"{1.0 / np.sqrt(f.rtol):.3e}; use the min-norm route"
         )
-    rhs = np.vstack([-(q.T @ j_x), np.zeros((u_y.shape[1], dim_x))])
+    rhs = np.vstack([u @ (u.T @ j_x) - j_x, np.zeros((u_y.shape[1], dim_x))])
     scale = spectral_norm(j_x) + spectral_norm(j_y) + spectral_norm(j_z)
     return _solve(a, f, rhs, scale)
 
@@ -415,6 +413,15 @@ def _yz_svd(blocks: JacobianBlocks, rtol: float | None) -> _Svd:
     return _svd(j_yz, rtol, full=j_yz.shape[0] < j_yz.shape[1])
 
 
+def _nearest_solution(p: np.ndarray, kern: np.ndarray, rows: slice, rtol: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """Of the solutions ``p + kern c`` (``kern`` an orthonormal kernel basis), the one whose ``rows`` are
+    smallest, as the kappa stage and the resolver choose: those rows (``p``'s off the span of ``kern[rows]``)
+    and ``c``.  The cut is ``rtol * 1``: rows of an orthonormal basis have cosines for singular values."""
+    g = _svd(kern[rows], rtol, scale=1.0)
+    b = g.u[:, : g.rank]
+    return p[rows] - b @ (b.T @ p[rows]), -_lstsq(g, p[rows])
+
+
 def _minnorm_derivatives(
     blocks: JacobianBlocks, rtol: float | None, groups: dict[str, slice]
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
@@ -424,7 +431,7 @@ def _minnorm_derivatives(
     ``DH_yz`` is the minimum-norm solution of ``[j_y  j_z] d = -j_x``.
     Every solution differs from it by a kernel vector of ``[j_y  j_z]``, so
     the minimum-norm component of a group is its rows of ``d`` projected off
-    the span of the matching kernel rows.
+    the span of the matching kernel rows (:func:`_nearest_solution`).
     """
     j_x, j_y, j_z = blocks.j_x, blocks.j_y, blocks.j_z
     # One SVD serves the scale, the solve and the kernel.
@@ -434,13 +441,7 @@ def _minnorm_derivatives(
     except ValueError as exc:
         raise RankHypothesisError(f"linearised system is inconsistent: {exc}") from exc
     kern = f.vh[f.rank :].T
-
-    def project_off_kernel(cols):
-        g = _svd(kern[cols], rtol, scale=1.0)  # rows of the orthonormal kernel basis
-        b = g.u[:, : g.rank]
-        return dh_yz[cols] - b @ (b.T @ dh_yz[cols])
-
-    return {label: project_off_kernel(cols) for label, cols in groups.items()}, dh_yz
+    return {label: _nearest_solution(dh_yz, kern, cols, rtol)[0] for label, cols in groups.items()}, dh_yz
 
 
 def solution_map_derivative_minnorm(blocks: JacobianBlocks, rtol: float | None = None) -> np.ndarray:
@@ -459,19 +460,19 @@ def solution_map_derivative_minnorm(blocks: JacobianBlocks, rtol: float | None =
     return _minnorm_derivatives(blocks, rtol, {"y": slice(0, blocks.j_y.shape[1])})[0]["y"]
 
 
-def fcre_solution_derivative(j_x, j_y, rtol: float | None = None) -> np.ndarray:
+def fcre_solution_derivative(j_x, j_y) -> np.ndarray:
     """Solution-map derivative for a problem without latent variables.
 
     Requires the feasibility rank condition ``rank [j_x j_y] = rank j_y``
     and returns ``-pinv(j_y) @ j_x``, the minimum-norm solution of
-    ``j_y @ DH = -j_x``.
+    ``j_y @ DH = -j_x``; each rank is cut at the default for its matrix's shape.
     """
     j_x = as_matrix(j_x, "j_x")
     j_y = as_matrix(j_y, "j_y")
     if j_x.shape[0] != j_y.shape[0]:
         raise ValueError("j_x and j_y must share the residual dimension")
-    f = _svd(j_y, rtol)
-    rank_all = numerical_rank(np.hstack([j_x, j_y]), rtol).rank
+    f = _svd(j_y)
+    rank_all = numerical_rank(np.hstack([j_x, j_y])).rank
     if rank_all != f.rank:
         raise RankHypothesisError(
             f"rank [j_x j_y] = {rank_all} differs from rank j_y = {f.rank}; "
@@ -480,17 +481,19 @@ def fcre_solution_derivative(j_x, j_y, rtol: float | None = None) -> np.ndarray:
     return _solve(j_y, f, -j_x, spectral_norm(j_x) + f.norm)
 
 
-def defining_equation_residuals(blocks: JacobianBlocks, dh, rtol: float | None = None) -> tuple[float, float, float]:
+def defining_equation_residuals(blocks: JacobianBlocks, dh) -> tuple[float, float, float]:
     """Residuals of the two defining equations of ``DH`` plus their scale.
 
     Returns ``(feasibility, orthogonality, scale)`` where feasibility is
-    ``||q.T (j_x + j_y dh)||``, orthogonality is ``||u_y.T dh||`` and
+    ``||P (j_x + j_y dh)||``, orthogonality is ``||u_y.T dh||`` (``P`` and
+    ``u_y`` as in :func:`solution_map_derivative`) and
     ``scale = ||j_x|| + ||j_y|| ||dh||``.  Both residuals vanish for the
     true solution-map derivative.
     """
     dh = as_matrix(dh, "dh")
-    q, u_y = _elimination_bases(blocks, rtol)
-    feas = spectral_norm(q.T @ (blocks.j_x + blocks.j_y @ dh))
+    u, u_y = _elimination_bases(blocks)
+    m = blocks.j_x + blocks.j_y @ dh
+    feas = spectral_norm(m - u @ (u.T @ m))
     orth = spectral_norm(u_y.T @ dh)
     scale = spectral_norm(blocks.j_x) + spectral_norm(blocks.j_y) * spectral_norm(dh)
     return feas, orth, scale
@@ -549,21 +552,19 @@ def _rank_checks(blocks: JacobianBlocks, dims: CrepDims, rtol: float, groups: di
 def certify_crep(
     problem: CrepProblem,
     point: CrepPoint,
-    n_samples: int = 4,
-    radius: float | None = None,
-    seed: int = 0,
     *,
+    n_samples: int = 4,
+    seed: int = 0,
     groups: dict[str, slice] | None = None,
 ) -> RankCertificate:
     """Certify the constant-rank hypotheses at ``point`` and nearby solutions.
 
-    Nearby solutions are produced by perturbing the input inside its
-    tangent chart (radius defaults to ``1e-4 * problem.scale``), retracting,
+    Nearby solutions are produced by moving the input ``1e-4 * problem.scale``
+    along a seeded random unit direction of its tangent chart, retracting,
     and re-solving for ``(y, z)`` with the constrained resolver.  The
     certificate fails if any rank check fails, if the ranks vary across
     samples, or if no perturbed sample could be re-solved.  Re-solve
-    failures are counted and the sample is skipped.  ``radius`` must be
-    finite and positive: at radius 0 every sample is the reference point.
+    failures are counted and the sample is skipped.
     Every rank cut, the resolver's included, is taken at ``problem.rtol``.
 
     ``groups`` maps labels to column ranges ``slice(start, stop)`` of
@@ -574,11 +575,7 @@ def certify_crep(
     """
     if n_samples < 0:
         raise ValueError("n_samples must be nonnegative")
-    if radius is None:
-        radius = 1e-4 * problem.scale
-    if not (np.isfinite(radius) and radius > 0.0):
-        raise ValueError(f"radius must be finite and positive, got {radius}")
-    dims, rtol = problem.dims, problem.rtol
+    dims, rtol, radius = problem.dims, problem.rtol, 1e-4 * problem.scale
     n_cols, named = dims.dim_y + dims.dim_z, groups is not None
     if groups is None:
         groups = {"y": slice(0, dims.dim_y)}
@@ -672,12 +669,12 @@ def condition_numbers_from_blocks(
     return spectral_norm(dhs["y"]), spectral_norm(dhs["z"]), spectral_norm(dh_yz), dhs["y"]
 
 
-def _certified_blocks(problem, point, groups, n_samples, radius, seed) -> tuple[RankCertificate, JacobianBlocks | None]:
+def _certified_blocks(problem, point, groups, n_samples, seed) -> tuple[RankCertificate, JacobianBlocks | None]:
     """:func:`certify_crep`'s certificate and, if it passed, the reference blocks it evaluated."""
     evaluated: list[JacobianBlocks] = []
     token = _REFERENCE_BLOCKS.set(evaluated)
     try:
-        certificate = certify_crep(problem, point, n_samples=n_samples, radius=radius, seed=seed, groups=groups)
+        certificate = certify_crep(problem, point, n_samples=n_samples, seed=seed, groups=groups)
     finally:
         _REFERENCE_BLOCKS.reset(token)
     return certificate, evaluated[0] if certificate.passed else None
@@ -688,17 +685,16 @@ def condition_numbers(
     point: CrepPoint,
     *,
     n_samples: int = 4,
-    radius: float | None = None,
     seed: int = 0,
 ) -> ConditionReport:
-    """Certify ``point`` and compute the condition numbers of the problem.
+    """Certify ``point``, sampling at ``1e-4 * problem.scale``, and compute its condition numbers.
 
     The kappa stage reuses the certificate's evaluation of ``point`` and cuts
     at its tolerance, ``problem.rtol``.  When certification fails the report
     carries the failed certificate and ``None`` condition numbers instead of
     numeric sentinels.
     """
-    certificate, blocks = _certified_blocks(problem, point, None, n_samples, radius, seed)
+    certificate, blocks = _certified_blocks(problem, point, None, n_samples, seed)
     if blocks is None:
         return ConditionReport(kappa_y=None, kappa_z=None, kappa_yz=None, dh=None, certificate=certificate)
     kappa_y, kappa_z, kappa_yz, dh = condition_numbers_from_blocks(blocks, problem.rtol)
@@ -718,13 +714,12 @@ class GroupConditionReport:
 
 
 def group_condition_numbers(
-    problem: CrepProblem, point: CrepPoint, groups: dict[str, slice], *, n_samples: int = 4,
-    radius: float | None = None, seed: int = 0,
+    problem: CrepProblem, point: CrepPoint, groups: dict[str, slice], *, n_samples: int = 4, seed: int = 0,
 ) -> GroupConditionReport:
-    """Certify ``point`` once, checking every group (see :func:`certify_crep`), and compute each
-    group's condition number.  Solving for one group with the rest latent only permutes the
-    columns of ``[j_y j_z]``, so one minimum-norm solve and kernel give every group's ``DH``."""
-    certificate, blocks = _certified_blocks(problem, point, groups, n_samples, radius, seed)
+    """Certify ``point`` once for every group, sampling at ``1e-4 * problem.scale`` (:func:`certify_crep`),
+    and compute each group's condition number.  Solving for one group with the rest latent only permutes
+    the columns of ``[j_y j_z]``, so one minimum-norm solve and kernel give every group's ``DH``."""
+    certificate, blocks = _certified_blocks(problem, point, groups, n_samples, seed)
     if blocks is None:
         return GroupConditionReport(None, None, certificate)
     dhs, dh_all = _minnorm_derivatives(blocks, problem.rtol, groups)

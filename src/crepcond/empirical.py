@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .crep import CrepPoint, CrepProblem, _evaluate, _unit_direction, evaluate_blocks, solution_map_derivative_minnorm
+from .crep import (CrepPoint, CrepProblem, _evaluate, _nearest_solution, _unit_direction, evaluate_blocks,
+                   solution_map_derivative_minnorm)
 from .linalg import _lstsq, _svd
 
 __all__ = [
@@ -122,8 +123,8 @@ def constrained_nearest_solution(
         e = cy.basis.T @ (y - point.y)
         p = _lstsq(f, j_y @ e - qr)
         kern = f.vh[f.rank :].T
-        c = -_lstsq(_svd(kern[:dim_y], rtol, scale=1.0), p[:dim_y])  # rows of the orthonormal kernel
-        dy = p[:dim_y] + kern[:dim_y] @ c - e
+        w, c = _nearest_solution(p, kern, slice(0, dim_y), rtol)
+        dy = w - e
         dz = p[dim_y:] + kern[dim_y:] @ c
         if current <= solver_tol and float(np.linalg.norm(dy)) <= 10.0 * solver_tol:
             trusted = float(np.linalg.norm(z - point.z)) <= z_trust

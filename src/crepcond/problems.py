@@ -37,7 +37,7 @@ import numpy as np
 
 from .crep import CrepDims, CrepPoint, CrepProblem, JacobianBlocks, TangentChart, make_crep_point
 from .linalg import _svd, as_matrix, orthonormalize, spectral_norm
-from .tensor import _is_int, load_tensor, multilinear_rank, hosvd, tensor_from_obj
+from .tensor import _is_int, _numbers, load_tensor, multilinear_rank, hosvd, tensor_from_obj
 from .tucker import TuckerCrepConfig, build_tucker_crep
 
 __all__ = [
@@ -301,13 +301,9 @@ def _problem_from_spec(spec, base_dir, rtol: float | None) -> tuple[CrepProblem,
     j_y = _require(spec, "J_y", list, kind)
     j_z = spec.get("J_z")
     try:
-        j_x = as_matrix(np.array(j_x, dtype=float), "J_x")
-        j_y = as_matrix(np.array(j_y, dtype=float), "J_y")
-        j_z = (
-            np.zeros((j_x.shape[0], 0))
-            if j_z is None or j_z == []
-            else as_matrix(np.array(j_z, dtype=float), "J_z")
-        )
+        j_x = as_matrix(_numbers(j_x, "J_x"), "J_x")
+        j_y = as_matrix(_numbers(j_y, "J_y"), "J_y")
+        j_z = np.zeros((j_x.shape[0], 0)) if j_z is None or j_z == [] else as_matrix(_numbers(j_z, "J_z"), "J_z")
         return linearized_problem(j_x, j_y, j_z)
     except ValueError as exc:
         raise SpecError(f"fields 'J_x'/'J_y'/'J_z' are invalid: {exc}") from exc

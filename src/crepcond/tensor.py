@@ -355,6 +355,14 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _numbers(value, name: str) -> np.ndarray:
+    """Nested lists of numbers as a float array; any other entry (a string, boolean or null) raises ``ValueError``."""
+    a = np.array(value, dtype=object)
+    if bad := [v for v in a.flat if not (_is_int(v) or isinstance(v, (float, np.floating)))]:
+        raise ValueError(f"'{name}' must hold only numbers, got {bad[0]!r}")
+    return a.astype(float)
+
+
 def tensor_from_obj(obj) -> np.ndarray:
     if not isinstance(obj, dict) or "shape" not in obj or "data" not in obj:
         raise ValueError("tensor object must be a mapping with 'shape' and 'data'")
@@ -363,7 +371,7 @@ def tensor_from_obj(obj) -> np.ndarray:
         _is_int(n) and n > 0 for n in shape
     ):
         raise ValueError("'shape' must be a non-empty list of positive integers")
-    data = np.asarray(obj["data"], dtype=float)
+    data = _numbers(obj["data"], "data")
     if data.ndim != 1 or data.size != int(np.prod(shape, dtype=int)):
         raise ValueError(f"'data' must hold {int(np.prod(shape, dtype=int))} scalars in row-major order")
     return _as_tensor(data.reshape(shape))

@@ -264,9 +264,10 @@ def closed_form_kappas(point: TuckerPoint, rtol: float | None = None) -> dict[st
     return kappas
 
 
-def expected_kappa_all(point: TuckerPoint, rtol: float | None = None) -> float:
-    """Condition number of solving for all variables combined (see :func:`closed_form_kappas`)."""
-    return closed_form_kappas(point, rtol)["all"]
+def expected_kappa_all(point: TuckerPoint) -> float:
+    """Condition number of solving for all variables combined (see :func:`closed_form_kappas`),
+    with each rank cut at the default for its matrix's shape."""
+    return closed_form_kappas(point)["all"]
 
 
 @dataclass(frozen=True)

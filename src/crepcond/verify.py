@@ -606,14 +606,13 @@ FULL_EXTRA = [
 SUITES = {"quick": QUICK_CHECKS, "full": QUICK_CHECKS + FULL_EXTRA}
 
 
-def run_suite(suite: str = "quick", seed: int = 0, out=print) -> list[CheckResult]:
-    """Run a named suite, emit one line per check, return all results."""
+def run_suite(suite: str = "quick", seed: int = 0) -> list[CheckResult]:
+    """Run a named suite, print one line per check as it finishes, return all results."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite '{suite}'; choose from {sorted(SUITES)}")
     results = []
     for check in SUITES[suite]:
         result = check(seed)
         results.append(result)
-        if out is not None:
-            out(result.line())
+        print(result.line())
     return results

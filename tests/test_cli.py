@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from crepcond.cli import build_report, main, write_report
-from crepcond.crep import RankCertificate, condition_numbers
+from crepcond.crep import CertificationError, RankCertificate, RankHypothesisError, condition_numbers
 from crepcond.empirical import EmpiricalEstimate
+from crepcond.linalg import InconsistentSystemError
 from crepcond.problems import polar_problem
 from crepcond.tensor import save_tensor
 from crepcond.tucker import random_tucker_point
@@ -129,6 +130,19 @@ def test_analyze_certificate_failure_exits_2(tmp_path, schema):
     assert doc["condition"]["kappa_y"] is None
 
 
+@pytest.mark.parametrize("error", [RankHypothesisError, InconsistentSystemError])
+def test_analyze_exits_2_when_the_kappa_stage_raises(tmp_path, monkeypatch, capsys, error):
+    def raising(*args, **kwargs):
+        raise error("stacked system is singular")
+
+    monkeypatch.setattr("crepcond.cli.condition_numbers", raising)
+    spec = write_spec(tmp_path, "polar.json", {"kind": "polar", "x0": 0.0})
+    assert main(["analyze", str(spec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: constant-rank hypotheses violated numerically: stacked system is singular\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "spec",
     [
@@ -150,6 +164,7 @@ def test_analyze_malformed_spec_exits_1(tmp_path, spec, capsys):
         '{"kind": "matrix_factorization", "m": true, "n": 3, "k_rank": 1}',
         '{"kind": "tucker", "tensor": {"shape": [2, 2], "data": [1, 0, 0, 1]}, "ranks": [2, 2], '
         '"output_variable": true}',
+        '{"kind": "custom_linearized", "J_x": [["1"], [true]], "J_y": [[1, 0], [0, 1]]}',
     ],
 )
 def test_analyze_rejects_nan_and_boolean_spec_values(tmp_path, text, capsys):
@@ -261,6 +276,20 @@ def test_tucker_command_table_and_cross_validation(tmp_path, capsys):
     assert float(lines["U1"][3]) <= 1e-5  # relative difference column
 
 
+def test_tucker_cross_validate_exits_2_when_certification_fails(tmp_path, monkeypatch, capsys):
+    def failing(*args, **kwargs):
+        raise CertificationError("rank certificate failed for tucker-4x3-rank-2x2-core: sample 0: ...")
+
+    monkeypatch.setattr("crepcond.cli.cross_validate", failing)
+    save_tensor(random_tucker_point((4, 3), (2, 2), 87).product, tmp_path / "t.json")
+    assert main(["tucker", str(tmp_path / "t.json"), "--ranks", "2,2", "--cross-validate"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: cross-validation failed: rank certificate failed for tucker-4x3-rank-2x2-core: sample 0: ...\n"
+    )
+    assert captured.out == ""
+
+
 def test_tucker_command_square_factors_show_zero(tmp_path, capsys):
     point = random_tucker_point((2, 2), (2, 2), 82)
     save_tensor(point.product, tmp_path / "t.json")
@@ -284,6 +313,9 @@ def test_tucker_command_bad_inputs(tmp_path, capsys):
     assert main(["tucker", str(tmp_path / "t.json"), "--ranks", "a,b"]) == 1
     assert main(["tucker", str(tmp_path / "missing.json"), "--ranks", "2,2"]) == 1
     capsys.readouterr()
+    (tmp_path / "strings.json").write_text('{"shape": [2, 2], "data": ["1", 0, false, true]}')
+    assert main(["tucker", str(tmp_path / "strings.json"), "--ranks", "2,2"]) == 1
+    assert "'data' must hold only numbers" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["analyze", "verify", "tucker"])

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from crepcond import empirical
 from crepcond.crep import (
     CrepDims,
     CrepProblem,
@@ -282,7 +283,7 @@ def test_fcre_reduction_of_pipeline():
 
 def test_certify_polar():
     problem, point = polar_problem(0.0)
-    cert = certify_crep(problem, point, n_samples=5, radius=1e-3, seed=0)
+    cert = certify_crep(problem, point, n_samples=5, seed=0)
     assert cert.passed
     assert (cert.r, cert.k) == (2, 1)
     assert cert.rank_df == 2
@@ -296,16 +297,6 @@ def test_certify_matrix_factorization_gauge_dimension():
     cert = certify_crep(problem, point, n_samples=3, seed=0)
     assert cert.passed
     assert cert.nullity_yz == 4  # k_rank ** 2 degrees of gauge freedom
-
-
-@pytest.mark.parametrize("radius", [0.0, -1e-4, np.nan, np.inf])
-def test_certify_rejects_a_radius_that_is_not_finite_and_positive(radius):
-    # At radius 0 every "nearby" sample is the reference point, so a certificate would be vacuous.
-    problem, point = polar_problem(0.0)
-    with pytest.raises(ValueError, match="radius must be finite and positive"):
-        certify_crep(problem, point, n_samples=2, radius=radius)
-    with pytest.raises(ValueError, match="radius must be finite and positive"):
-        condition_numbers(problem, point, n_samples=2, radius=radius)
 
 
 def test_certify_rejects_rank_drop_at_origin():
@@ -330,10 +321,58 @@ def test_certify_rejects_rank_drop_at_origin():
         z_chart=chart,
     )
     point = make_crep_point(problem, [0.0], [0.0], [0.0])
-    cert = certify_crep(problem, point, n_samples=4, radius=1e-3, seed=0)
+    cert = certify_crep(problem, point, n_samples=4, seed=0)
     assert not cert.passed
     assert cert.messages
     assert sum("DF" in msg for msg in cert.messages) == 1
+
+
+def test_certify_reports_a_sample_whose_full_jacobian_gains_rank():
+    # F = (y - x1, 0) with a declared dF/dx of [[-1, 0], [0, x2]]: rank DF is 1 at the point
+    # (x2 = 0) and 2 at every sample, while rank [j_y j_z] stays 1.  The resolver never reads
+    # dF/dx, so each sample re-solves and only the DF check fails.
+    def residual(x, y, z):
+        return np.array([y[0] - x[0], 0.0])
+
+    def jacobian(x, y, z):
+        return np.array([[-1.0, 0.0], [0.0, x[1]]]), np.array([[1.0], [0.0]]), np.zeros((2, 0))
+
+    def chart(dim):
+        return lambda x, y, z: TangentChart.full(dim)
+
+    problem = CrepProblem(
+        name="declared-jx", dims=CrepDims(2, 1, 0, 2), residual=residual, jacobian=jacobian,
+        x_chart=chart(2), y_chart=chart(1), z_chart=chart(0),
+    )
+    point = make_crep_point(problem, [0.0, 0.0], [0.0], [])
+    cert = certify_crep(problem, point, n_samples=2)
+    assert (cert.rank_df, cert.r, cert.samples_checked, cert.passed) == (1, 1, 2, False)
+    assert list(cert.messages) == [f"sample {i}: rank DF = 2 differs from rank [j_y j_z] = 1" for i in range(2)]
+
+
+@pytest.mark.parametrize("scale", [None, 3.0])
+def test_certificate_samples_lie_1e_4_scale_from_the_point(scale, monkeypatch):
+    problem, point = polar_problem(0.0)
+    if scale is not None:
+        problem = dataclasses.replace(problem, scale=scale)
+    inputs = []
+    resolve = empirical.constrained_nearest_solution
+
+    def recording(problem, point, x_pert, **kwargs):
+        inputs.append(x_pert)
+        return resolve(problem, point, x_pert, **kwargs)
+
+    monkeypatch.setattr(empirical, "constrained_nearest_solution", recording)
+    assert certify_crep(problem, point, n_samples=3).samples_checked == 3
+    basis = evaluate_blocks(problem, point)._x_basis
+    distances = [float(np.linalg.norm(basis.T @ (x - point.x))) for x in inputs]
+    assert distances == pytest.approx([1e-4 * problem.scale] * 3, rel=1e-12)
+
+
+def test_certify_takes_its_options_by_keyword():
+    problem, point = polar_problem(0.0)
+    with pytest.raises(TypeError):
+        certify_crep(problem, point, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +434,22 @@ def test_kappa_stage_allocates_nothing_of_residual_size_squared():
     tracemalloc.start()
     try:
         condition_numbers_from_blocks(blocks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n_res**2 * 8
+
+
+def test_elimination_route_allocates_nothing_of_residual_size_squared():
+    # Ambient blocks (no tangent_blocks hook) have n_res = 1000 rows.
+    point = random_tucker_point((10, 10, 10), (3, 3, 3), 28)
+    problem, pt = build_tucker_crep(TuckerCrepConfig(point, 0))
+    blocks = evaluate_blocks(dataclasses.replace(problem, tangent_blocks=None), pt)
+    n_res = problem.dims.n_residual
+    assert blocks.n_residual == n_res == 1000
+    tracemalloc.start()
+    try:
+        defining_equation_residuals(blocks, solution_map_derivative(blocks))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -539,14 +594,14 @@ GROUPS = {"y": slice(0, 1), "z1": slice(1, 2), "z2": slice(2, 3)}
 
 def test_group_certificate_fails_when_a_later_group_changes_rank():
     problem, point = _grouped_rank_change_problem()
-    assert certify_crep(problem, point, n_samples=2, radius=1e-3).passed
-    cert = certify_crep(problem, point, n_samples=2, radius=1e-3, groups=GROUPS)
+    assert certify_crep(problem, point, n_samples=2).passed
+    cert = certify_crep(problem, point, n_samples=2, groups=GROUPS)
     assert not cert.passed and cert.samples_checked == 2
     assert (cert.r, cert.k) == (2, 2)  # k is the first group's
     assert list(cert.messages) == [
         f"sample {i}: ranks (r=2, k=2) differ from reference (r=2, k=1) for group z1" for i in range(2)
     ]
-    report = group_condition_numbers(problem, point, GROUPS, n_samples=2, radius=1e-3)
+    report = group_condition_numbers(problem, point, GROUPS, n_samples=2)
     assert report.kappas is None and report.kappa_all is None and report.certificate == cert
 
 

@@ -375,6 +375,25 @@ def test_svd_has_one_entry_point():
     assert not offenders
 
 
+def test_kernel_row_cut_has_one_entry_point():
+    """``_svd(..., scale=...)`` cuts rows of an orthonormal kernel basis; the kappa stage and the
+    resolver take that cut, and the nearest solution it selects, from one function."""
+    callers = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where}.{node.name}"
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_svd":
+            if any(k.arg == "scale" for k in node.keywords):
+                callers.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(Path(crepcond.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
+    assert callers == {"crep._nearest_solution"}
+
+
 def _gram_error_norms(tree):
     """Calls ``spectral_norm(<expr> - <module>.eye(...))`` in ``tree``."""
     for node in ast.walk(tree):

@@ -138,6 +138,12 @@ def test_spec_custom_linearized():
         ({"kind": "matrix_factorization", "m": 4, "n": 3, "k_rank": 2, "seed": False}, "seed"),
         ({"kind": "matrix_factorization", "m": 4, "n": 3, "k_rank": 2, "seed": -1},
          "field 'seed' must be a nonnegative integer"),
+        ({"kind": "custom_linearized", "J_x": [["1"], [True]], "J_y": [[1, 0], [0, 1]]}, "'J_x' must hold only numbers"),
+        ({"kind": "custom_linearized", "J_x": [[1], [0]], "J_y": [[True, 0], [0, 1]]}, "'J_y' must hold only numbers"),
+        ({"kind": "custom_linearized", "J_x": [[1], [0]], "J_y": [[1], [0]], "J_z": [["0"], [1]]},
+         "'J_z' must hold only numbers"),
+        ({"kind": "tucker", "tensor": {"shape": [2, 2], "data": ["1", 0, False, True]}, "ranks": [2, 2]},
+         "'data' must hold only numbers"),
     ],
 )
 def test_spec_errors_name_the_field(spec, field):

@@ -434,6 +434,8 @@ def test_tensor_file_roundtrip(tmp_path):
         {"shape": [2], "data": [1.0, 2.0, 3.0]},
         {"shape": "bad", "data": [1.0]},
         [1, 2, 3],
+        {"shape": [2, 2], "data": ["1", 0, False, True]},
+        {"shape": [2], "data": [1.0, None]},
     ],
 )
 def test_tensor_from_obj_rejects_malformed(obj):
