@@ -186,14 +186,14 @@ def linearized_problem(j_x, j_y, j_z) -> tuple[CrepProblem, CrepPoint]:
     return problem, point
 
 
-def _conditioned(rng, rows: int, cols: int, smin: float = 0.3, smax: float = 3.0) -> np.ndarray:
-    """Random matrix with singular values rescaled into ``[smin, smax]``."""
+def _conditioned(rng, rows: int, cols: int) -> np.ndarray:
+    """Random matrix with singular values rescaled into ``[0.3, 3]``."""
     a = rng.standard_normal((rows, cols))
     f = _svd(a)
     if f.s.size == 0:
         return a
     lo, hi = float(f.s[-1]), f.norm
-    s = np.linspace(smax, smin, f.s.size) if hi == lo else smin + (f.s - lo) * (smax - smin) / (hi - lo)
+    s = np.linspace(3.0, 0.3, f.s.size) if hi == lo else 0.3 + (f.s - lo) * (3.0 - 0.3) / (hi - lo)
     return (f.u * s) @ f.vh
 
 def random_linearized_blocks(seed) -> JacobianBlocks:

@@ -32,7 +32,7 @@ from .crep import (
     group_condition_numbers,
     make_crep_point,
 )
-from .linalg import _svd
+from .linalg import _svd, complement_basis
 from .tensor import (
     TuckerPoint,
     _factor_directions,
@@ -176,21 +176,23 @@ def build_tucker_crep(config: TuckerCrepConfig) -> tuple[CrepProblem, CrepPoint]
                 cut = tuple(slice(m, None) if e == d else slice(m) for e, m in enumerate(ranks))
                 qr.append((np.moveaxis(t[cut], d, 0).reshape(perp.shape[1], f.vh.shape[1]) @ f.vh.T).ravel())
             qr = np.concatenate(qr)
-        basis = {c: _stiefel_basis(factors[c], perp, skew[c]) for c, (perp, _) in enumerate(frames)}
-        basis["core"] = np.eye(core.size)
+        perps = [perp for perp, _ in frames]
         return (np.eye(dim_x), j_yz[:, : dims.dim_y], j_yz[:, dims.dim_y :], qr,
-                TangentChart(size[out], basis[out]),
-                TangentChart(sum(size[c] for c in comps[1:]), _block_diag([basis[c] for c in comps[1:]])))
+                chart(comps[:1], factors, perps), chart(comps[1:], factors, perps))
+
+    def chart(cs, factors, perps):  # the variables cs in their charts; perps[d] = complement_basis(factors[d])
+        bases = [np.eye(size[c]) if c == "core" else _stiefel_basis(factors[c], perps[c], skew[c]) for c in cs]
+        return TangentChart(sum(size[c] for c in cs), _block_diag(bases))
+
+    def own_chart(cs):  # the chart of the variables cs, for the ambient path, which calls no hook
+        def chart_at(x, y_vec, z_vec):
+            _, factors = unpack(y_vec, z_vec)
+            return chart(cs, factors, {c: complement_basis(factors[c]) for c in cs if c != "core"})
+        return chart_at
 
     def x_chart(x, y_vec, z_vec):
         core, factors = unpack(y_vec, z_vec)
         return TangentChart(n_res, _mlrank_basis(core, factors, rtol, n_res))
-
-    def y_chart(x, y_vec, z_vec):
-        return tangent_blocks(x, y_vec, z_vec, None)[4]
-
-    def z_chart(x, y_vec, z_vec):
-        return tangent_blocks(x, y_vec, z_vec, None)[5]
 
     def x_retract(x, dx):
         return hosvd((np.asarray(x) + dx).reshape(shape), ranks, rtol).product.ravel()
@@ -217,8 +219,8 @@ def build_tucker_crep(config: TuckerCrepConfig) -> tuple[CrepProblem, CrepPoint]
         residual=residual,
         jacobian=jacobian,
         x_chart=x_chart,
-        y_chart=y_chart,
-        z_chart=z_chart,
+        y_chart=own_chart(comps[:1]),
+        z_chart=own_chart(comps[1:]),
         x_retract=x_retract,
         y_retract=retract(comps[:1]),
         z_retract=retract(comps[1:]),

@@ -7,6 +7,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from crepcond import verify
 from crepcond.cli import build_report, main, write_report
 from crepcond.crep import CertificationError, RankCertificate, RankHypothesisError, condition_numbers
 from crepcond.empirical import EmpiricalEstimate
@@ -333,6 +334,11 @@ def test_negative_seed_exits_1(tmp_path, capsys, command):
     assert exc.value.code == 1
     err = capsys.readouterr().err
     assert "--seed" in err and "Traceback" not in err
+
+
+def test_run_suite_rejects_an_unknown_suite():
+    with pytest.raises(ValueError, match=r"unknown suite 'nope'; choose from \['full', 'quick'\]"):
+        verify.run_suite("nope")
 
 
 def test_verify_command_quick(capsys):

@@ -626,6 +626,16 @@ def test_certify_rejects_groups_that_are_not_column_ranges(groups):
         certify_crep(problem, point, n_samples=0, groups=groups)
 
 
+def test_input_checks_raise():
+    problem, point = polar_problem(0.0)
+    with pytest.raises(ValueError, match="n_samples must be nonnegative"):
+        certify_crep(problem, point, n_samples=-1)
+    with pytest.raises(ValueError, match="blocks must share the residual dimension"):
+        JacobianBlocks(j_x=np.ones((2, 1)), j_y=np.ones((3, 1)), j_z=np.ones((2, 1)))
+    with pytest.raises(ValueError, match="j_x and j_y must share the residual dimension"):
+        fcre_solution_derivative(np.ones((2, 1)), np.ones((3, 1)))
+
+
 def test_z_chart_invariance():
     rng = np.random.default_rng(26)
     for i in range(20):

@@ -12,6 +12,7 @@ from crepcond.crep import TangentChart
 from crepcond.linalg import (
     InconsistentSystemError,
     _is_orthonormal,
+    as_matrix,
     complement_basis,
     default_rtol,
     kernel_basis,
@@ -289,6 +290,15 @@ def test_subspace_distance_is_the_projector_distance():
         for b2 in (near, np.linalg.qr(rng.standard_normal((n, int(rng.integers(0, n + 1)))))[0]):
             expected = spectral_norm(b1 @ b1.T - b2 @ b2.T)
             assert subspace_distance(b1, b2) == pytest.approx(expected, abs=1e-14)
+
+
+def test_shape_checks_raise():
+    with pytest.raises(ValueError, match=r"a is \(3, 2\), b is \(2, 1\)"):
+        min_norm_solve(np.ones((3, 2)), np.ones((2, 1)))
+    with pytest.raises(ValueError, match="bases live in different ambient dimensions"):
+        subspace_distance(np.eye(3)[:, :1], np.eye(2)[:, :1])
+    with pytest.raises(ValueError, match=r"basis must be 2-D, got shape \(3,\)"):
+        as_matrix(np.ones(3), "basis")
 
 
 def test_subspace_distance_forms_no_n_by_n_matrix():

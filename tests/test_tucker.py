@@ -212,7 +212,7 @@ def test_gauge_and_scale_checks_fail_on_a_failed_certificate(monkeypatch):
 
     monkeypatch.setattr(verify, "condition_numbers", failing)
     monkeypatch.setattr(tucker_module, "group_condition_numbers", failing_groups)
-    for result in (verify.check_gauge_invariance(trials=1), verify.check_scale_covariance()):
+    for result in (verify.check_gauge_invariance(), verify.check_scale_covariance()):
         assert not result.passed and "forced" in result.detail
 
 
@@ -306,9 +306,10 @@ def test_core_output_near_degenerate_gap_pipeline_vs_minnorm():
 
 
 def test_elimination_conditioning_guard_fires_in_every_residual_basis():
-    # The stacked elimination system is square on the tangent blocks, so its
-    # consistency check cannot fail there; its condition number (1.4e8) is the
-    # same with and without the hook.
+    # The stacked elimination system [P j_y; u_y.T] has rows + nullity rows.  On
+    # the tangent blocks it is square once P has projected out the latent span,
+    # so its consistency check cannot fail there; its condition number (1.4e8)
+    # is the same with and without the hook.
     from crepcond.crep import solution_map_derivative
     from crepcond.linalg import InconsistentSystemError
 
@@ -400,6 +401,19 @@ def test_resolver_iterate_takes_one_complement_basis_per_factor(monkeypatch):
     res = empirical.constrained_nearest_solution(problem, pt, x)
     assert res.converged and res.iterations >= 2
     assert counts == {"tangent_blocks": res.iterations, "complement_basis": res.iterations * point.order}
+
+
+@pytest.mark.parametrize("var", ["core", 0])
+def test_ambient_charts_take_one_complement_basis_per_factor(monkeypatch, var):
+    # Without the hook, the x chart takes a complement basis and a core-flattening
+    # SVD per factor, and the y and z charts together one complement basis per factor.
+    point = random_tucker_point((8, 8, 8), (3, 3, 3), 1)
+    problem, pt = build_tucker_crep(TuckerCrepConfig(point, var))
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
+    evaluate_blocks(dataclasses.replace(problem, tangent_blocks=None), pt)
+    assert len(calls) == 3 * point.order
 
 
 def test_kernel_rows_of_roundoff_do_not_cut_the_output_derivative():
