@@ -406,18 +406,23 @@ def solution_map_derivative(blocks: JacobianBlocks) -> np.ndarray:
 
 def _yz_svd(blocks: JacobianBlocks, rtol: float | None) -> _Svd:
     """The SVD of ``[j_y  j_z]`` (full ``vh`` when wide) cut at ``rtol``: the one that
-    certify_crep put on ``blocks`` (a sample's lacks the vectors), else a new one."""
+    certify_crep put on ``blocks`` (a sample's is the resolver's), else a new one."""
     if blocks._yz is not None:
         return blocks._yz
     j_yz = np.hstack([blocks.j_y, blocks.j_z])
     return _svd(j_yz, rtol, full=j_yz.shape[0] < j_yz.shape[1])
 
 
+def _kernel_rows(kern_rows: np.ndarray, rtol: float | None) -> _Svd:
+    """SVD of rows of an orthonormal kernel basis, cut at ``rtol * 1``: their singular values are cosines."""
+    return _svd(kern_rows, rtol, scale=1.0)
+
+
 def _nearest_solution(p: np.ndarray, kern: np.ndarray, rows: slice, rtol: float | None) -> tuple[np.ndarray, np.ndarray]:
     """Of the solutions ``p + kern c`` (``kern`` an orthonormal kernel basis), the one whose ``rows`` are
     smallest, as the kappa stage and the resolver choose: those rows (``p``'s off the span of ``kern[rows]``)
-    and ``c``.  The cut is ``rtol * 1``: rows of an orthonormal basis have cosines for singular values."""
-    g = _svd(kern[rows], rtol, scale=1.0)
+    and ``c``, at the cut of :func:`_kernel_rows`."""
+    g = _kernel_rows(kern[rows], rtol)
     b = g.u[:, : g.rank]
     return p[rows] - b @ (b.T @ p[rows]), -_lstsq(g, p[rows])
 
@@ -508,9 +513,9 @@ class RankCertificate:
     """Result of checking the constant-rank hypotheses at sampled solutions.
 
     ``r`` is the common rank of the full Jacobian and of ``[j_y j_z]``;
-    ``k`` the rank of ``j_z`` (see :func:`certify_crep` for groups).  ``fragile``
-    flags a singular-value gap around some rank cut below 10x the tolerance,
-    meaning the certificate is sensitive to the tolerance choice.
+    ``k`` the rank of ``j_z`` (see :func:`certify_crep` for groups).  ``min_gap`` is the smallest
+    singular-value gap around a rank cut, a kernel-row cut's times sigma_r of ``[j_y j_z]``;
+    ``fragile`` flags it below 10x ``tolerance``: the certificate is sensitive to that choice.
     """
 
     r: int
@@ -532,21 +537,30 @@ def _unit_direction(seed, i: int, dim: int) -> np.ndarray:
     return u / float(np.linalg.norm(u)) if dim else u
 
 
-def _rank_checks(blocks: JacobianBlocks, dims: CrepDims, rtol: float, groups: dict[str, slice]):
-    df = np.hstack([blocks.j_x, blocks.j_y, blocks.j_z])
-    d_df = numerical_rank(df, rtol)
-    f_yz = _yz_svd(blocks, rtol)
-    d_yz = RankDecision(rank=f_yz.rank, singular_values=f_yz.s, tolerance_used=f_yz.tol)
-    j_yz = df[:, blocks.j_x.shape[1] :]
-    d_k = {label: numerical_rank(np.delete(j_yz, cols, axis=1), rtol) for label, cols in groups.items()}
-    r = d_yz.rank
-    nullity_yz = dims.dim_y + dims.dim_z - r
-    problems = []
+def _rank_checks(blocks: JacobianBlocks, rtol: float, groups: dict[str, slice], tolerance: float | None = None):
+    """``(r, k by group, rank DF, tolerance, min gap, problems)`` at one point, from the SVD of
+    ``A = [j_y j_z]`` (rank r, kernel basis K): rank(A without the columns C) = r - |C| + rank K[C, :]
+    at the :func:`_kernel_rows` cut, whose gap times sigma_r(A) bounds the nonzero singular values of
+    A without C from below; rank DF = r + rank of j_x off range A at the absolute ``tolerance``.
+    ``tolerance`` None (the reference point) takes rank DF and the tolerance from one SVD of DF."""
+    f = _yz_svd(blocks, rtol)
+    r, kern, sigma_r = f.rank, f.vh[f.rank :].T, f.s[f.rank - 1] if f.rank else np.inf
+    k, gaps = {}, [RankDecision(r, f.s, f.tol).gap_at_cut()]
+    for label, cols in groups.items():
+        g = _kernel_rows(kern[cols], rtol)
+        k[label] = r - (cols.stop - cols.start) + g.rank
+        gaps.append(sigma_r * RankDecision(g.rank, g.s, g.tol).gap_at_cut())
+    if tolerance is None:
+        d_df = numerical_rank(np.hstack([blocks.j_x, blocks.j_y, blocks.j_z]), rtol)
+        rank_df, tolerance = d_df.rank, max(d_df.tolerance_used, rtol * 1e-300)  # rtol * sigma_max(DF)
+        gaps.append(d_df.gap_at_cut())
+    else:
+        off = blocks.j_x - f.u[:, :r] @ (f.u[:, :r].T @ blocks.j_x)
+        # The Frobenius norm bounds the spectral norm, so an SVD is taken only when it exceeds the tolerance.
+        rank_df = r if np.linalg.norm(off) <= tolerance else r + int(np.count_nonzero(_svd(off, uv=False).s > tolerance))
     # rank DF = r is the same statement as nullity DF = dim_x + nullity [j_y j_z].
-    if d_df.rank != r:
-        problems.append(f"rank DF = {d_df.rank} differs from rank [j_y j_z] = {r}")
-    gap = min(d.gap_at_cut() for d in (d_df, d_yz, *d_k.values()))
-    return r, {label: d.rank for label, d in d_k.items()}, d_df, nullity_yz, gap, problems
+    problems = [] if rank_df == r else [f"rank DF = {rank_df} differs from rank [j_y j_z] = {r}"]
+    return r, k, rank_df, tolerance, min(gaps), problems
 
 
 def certify_crep(
@@ -559,13 +573,13 @@ def certify_crep(
 ) -> RankCertificate:
     """Certify the constant-rank hypotheses at ``point`` and nearby solutions.
 
-    Nearby solutions are produced by moving the input ``1e-4 * problem.scale``
-    along a seeded random unit direction of its tangent chart, retracting,
-    and re-solving for ``(y, z)`` with the constrained resolver.  The
-    certificate fails if any rank check fails, if the ranks vary across
-    samples, or if no perturbed sample could be re-solved.  Re-solve
-    failures are counted and the sample is skipped.
-    Every rank cut, the resolver's included, is taken at ``problem.rtol``.
+    Nearby solutions are produced by moving the input ``1e-4 * problem.scale`` along a seeded
+    random unit direction of its tangent chart, retracting, and re-solving for ``(y, z)`` with the
+    constrained resolver.  The certificate fails if any rank check fails, if the ranks vary across
+    samples, or if no perturbed sample could be re-solved.  Re-solve failures are counted and the
+    sample is skipped.  Every rank cut, the resolver's included, is taken at ``problem.rtol``.
+    A point's ranks come from its one SVD of ``[j_y j_z]`` (:func:`_rank_checks`); the
+    reference adds one SVD of DF, which sets the absolute ``tolerance``.
 
     ``groups`` maps labels to column ranges ``slice(start, stop)`` of
     ``[j_y j_z]``; for each, the rank ``k`` of ``[j_y j_z]`` without those
@@ -587,14 +601,11 @@ def certify_crep(
     blocks0 = replace(blocks0, _yz=_yz_svd(blocks0, rtol))  # one SVD, shared with the kappa stage
     if (sink := _REFERENCE_BLOCKS.get()) is not None:
         sink.append(blocks0)
-    r0, k0, d_df0, nullity0, gap0, messages = _rank_checks(blocks0, dims, rtol, groups)
-    min_gap = gap0
-    tolerance_abs = max(d_df0.tolerance_used, rtol * 1e-300)  # rtol * sigma_max(DF)
+    r0, k0, rank_df0, tolerance_abs, min_gap, messages = _rank_checks(blocks0, rtol, groups)
 
     from . import empirical  # deferred: empirical builds on this module
 
-    samples_checked = 0
-    resolve_failures = 0
+    samples_checked = resolve_failures = 0
     for i in range(n_samples):
         x_pert = problem.x_retract(point.x, blocks0._x_basis @ (radius * _unit_direction(seed, i, dims.dim_x)))
         result = empirical.constrained_nearest_solution(problem, point, x_pert)
@@ -603,13 +614,11 @@ def certify_crep(
             messages.append(f"sample {i}: re-solve failed ({result.message})")
             continue
         j_x, j_y, j_z, f_yz = result._evaluation  # the resolver's last evaluation
-        j_x = _x_block(problem, j_x, x_pert, result.y, result.z)
-        blocks_i = JacobianBlocks(j_x, j_y, j_z, _yz=f_yz)
-        r_i, k_i, rank_df_i, _, gap_i, problems_i = _rank_checks(blocks_i, dims, rtol, groups)
+        blocks_i = JacobianBlocks(_x_block(problem, j_x, x_pert, result.y, result.z), j_y, j_z, _yz=f_yz)
+        r_i, k_i, _, _, gap_i, problems_i = _rank_checks(blocks_i, rtol, groups, tolerance_abs)
         min_gap = min(min_gap, gap_i)
         samples_checked += 1
-        for msg in problems_i:
-            messages.append(f"sample {i}: {msg}")
+        messages += [f"sample {i}: {msg}" for msg in problems_i]
         for label in groups:
             if (r_i, k_i[label]) != (r0, k0[label]):
                 messages.append(f"sample {i}: ranks (r={r_i}, k={k_i[label]}) differ from reference "
@@ -617,19 +626,10 @@ def certify_crep(
 
     if n_samples > 0 and samples_checked == 0:
         messages.append("no perturbed sample could be re-solved; constancy not verifiable")
-    passed = not messages
     return RankCertificate(
-        r=r0,
-        k=next(iter(k0.values())),
-        rank_df=d_df0.rank,
-        nullity_yz=nullity0,
-        samples_checked=samples_checked,
-        resolve_failures=resolve_failures,
-        tolerance=tolerance_abs,
-        passed=passed,
-        fragile=bool(min_gap < 10.0 * tolerance_abs),
-        min_gap=float(min_gap),
-        messages=tuple(messages),
+        r=r0, k=next(iter(k0.values())), rank_df=rank_df0, nullity_yz=n_cols - r0, samples_checked=samples_checked,
+        resolve_failures=resolve_failures, tolerance=tolerance_abs, passed=not messages,
+        fragile=bool(min_gap < 10.0 * tolerance_abs), min_gap=float(min_gap), messages=tuple(messages),
     )
 
 

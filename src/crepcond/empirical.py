@@ -59,8 +59,8 @@ class ResolveResult:
     iterations: int
     converged: bool
     message: str = ""
-    # Private: (j_x, j_y, j_z, SVD of [j_y j_z] without vectors) at (y, z), as crep._evaluate
-    # returns them (crep._x_block puts j_x in x-chart coordinates).
+    # Private: (j_x, j_y, j_z, SVD of [j_y j_z]) at (y, z), the blocks as crep._evaluate returns them (crep._x_block
+    # puts j_x in x-chart coordinates); certify_crep takes every rank of a sample from them.
     _evaluation: tuple | None = field(default=None, repr=False, compare=False)
 
 
@@ -117,7 +117,7 @@ def constrained_nearest_solution(
         j_x, j_y, j_z, qr, cy, cz = _evaluate(problem, x, y, z, r)
         j_yz = np.hstack([j_y, j_z])
         f = _svd(j_yz, rtol, full=j_yz.shape[0] < j_yz.shape[1])
-        evaluation = (j_x, j_y, j_z, f._replace(u=None, vh=None))
+        evaluation = (j_x, j_y, j_z, f)
         # Every least-squares solution of [j_y j_z](w, dz) = j_y e - r is
         # p + K c, K the kernel; c minimises the new output error |w| = |e + dy|.
         e = cy.basis.T @ (y - point.y)

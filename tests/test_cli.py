@@ -341,6 +341,18 @@ def test_run_suite_rejects_an_unknown_suite():
         verify.run_suite("nope")
 
 
+def test_polar_check_certifies_at_the_suite_seed(monkeypatch):
+    seeds = []
+
+    def recording(problem, point, **kwargs):
+        seeds.append(kwargs["seed"])
+        return condition_numbers(problem, point, **kwargs)
+
+    monkeypatch.setattr(verify, "condition_numbers", recording)
+    assert verify.check_polar_exact(seed=3).passed
+    assert seeds == [3]
+
+
 def test_verify_command_quick(capsys):
     assert main(["verify", "--suite", "quick", "--seed", "0"]) == 0
     out = capsys.readouterr().out

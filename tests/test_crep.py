@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from crepcond import empirical
+from crepcond import crep, empirical, linalg, tensor
 from crepcond.crep import (
     CrepDims,
     CrepProblem,
@@ -22,7 +22,7 @@ from crepcond.crep import (
     solution_map_derivative,
     solution_map_derivative_minnorm,
 )
-from crepcond.linalg import InconsistentSystemError, default_rtol, spectral_norm
+from crepcond.linalg import InconsistentSystemError, default_rtol, numerical_rank, spectral_norm
 from crepcond.problems import (
     linearized_problem,
     matrix_factorization_problem,
@@ -624,6 +624,128 @@ def test_certify_rejects_groups_that_are_not_column_ranges(groups):
     problem, point = _grouped_rank_change_problem()
     with pytest.raises(ValueError, match="group"):
         certify_crep(problem, point, n_samples=0, groups=groups)
+
+
+def _tucker_groups(point, problem):
+    """The core problem's [j_y j_z] split into the core and one group per factor, as cross_validate certifies it."""
+    sizes = [problem.dims.dim_y] + [tensor.stiefel_tangent_dim(n, m) for n, m in zip(point.shape, point.ranks)]
+    ends = np.cumsum(sizes).tolist()
+    labels = ["core"] + [f"U{d + 1}" for d in range(point.order)]
+    return {label: slice(end - size, end) for label, size, end in zip(labels, sizes, ends)}
+
+
+def _certified_rank_cases():
+    for shape, ranks in (((6, 5, 4), (2, 2, 2)), ((8, 8, 8), (3, 3, 3))):
+        for j in range(2):
+            point = random_tucker_point(shape, ranks, (4, j))
+            problem, pt = build_tucker_crep(TuckerCrepConfig(point, "core"))
+            yield problem, pt, _tucker_groups(point, problem)
+    for i in range(30):
+        b = random_linearized_blocks((106, i))
+        problem, pt = linearized_problem(b.j_x, b.j_y, b.j_z)
+        dim_y, dim_z = problem.dims.dim_y, problem.dims.dim_z
+        yield problem, pt, {"y": slice(0, dim_y)} | ({"z": slice(dim_y, dim_y + dim_z)} if dim_z else {})
+
+
+def test_certificate_ranks_equal_the_direct_ranks(monkeypatch):
+    """At the reference and at each resolver sample, every group's rank (from the kernel rows of
+    [j_y j_z]) and rank DF (from j_x off its range) equal numerical_rank of the matrices themselves."""
+    checked = []
+    rank_checks = crep._rank_checks
+
+    def recording(blocks, rtol, groups, tolerance=None):
+        checked.append((blocks, rtol, groups, rank_checks(blocks, rtol, groups, tolerance)))
+        return checked[-1][-1]
+
+    monkeypatch.setattr(crep, "_rank_checks", recording)
+    n_cases = 0
+    for problem, point, groups in _certified_rank_cases():
+        cert = certify_crep(problem, point, n_samples=2, groups=groups)
+        assert cert.passed and cert.samples_checked == 2
+        n_cases += 1
+    assert len(checked) == 3 * n_cases
+    for blocks, rtol, groups, (r, k, rank_df, _, _, _) in checked:
+        j_yz = np.hstack([blocks.j_y, blocks.j_z])
+        assert r == numerical_rank(j_yz, rtol).rank
+        assert k == {label: numerical_rank(np.delete(j_yz, cols, axis=1), rtol).rank for label, cols in groups.items()}
+        assert rank_df == numerical_rank(np.hstack([blocks.j_x, j_yz]), rtol).rank == r
+
+
+def _kernel_row_cut_problem(eps0, curvature=0.0, rtol=1e-8):
+    """``F(x, w) = A(x) w - (x1, 0)`` with ``w = (y, z1, z2)`` and ``A(x) = [[1, 0, 0], [0, 1, eps(x)]]``,
+    ``eps(x) = eps0 + curvature * x1**2``.  The kernel of A is (0, -eps, 1) / sqrt(1 + eps**2), so z1's
+    kernel row has the one singular value eps / sqrt(1 + eps**2), against the cut ``rtol``."""
+
+    def a(x):
+        return np.array([[1.0, 0.0, 0.0], [0.0, 1.0, eps0 + curvature * x[0] ** 2]])
+
+    def residual(x, y, z):
+        return a(x) @ np.concatenate([y, z]) - np.array([x[0], 0.0])
+
+    def jacobian(x, y, z):
+        j = a(x)
+        return np.array([[-1.0], [2.0 * curvature * x[0] * z[1]]]), j[:, :1], j[:, 1:]
+
+    def chart(dim):
+        return lambda x, y, z: TangentChart.full(dim)
+
+    problem = CrepProblem(
+        name="kernel-row-cut", dims=CrepDims(1, 1, 2, 2), residual=residual, jacobian=jacobian,
+        x_chart=chart(1), y_chart=chart(1), z_chart=chart(2), rtol=rtol,
+    )
+    return problem, make_crep_point(problem, [0.0], [0.0], [0.0, 0.0])
+
+
+@pytest.mark.parametrize("side", [-1, 1])
+def test_group_rank_at_the_kernel_row_cut(side):
+    eps = 1e-8 * (1.0 + side * 1e-3)
+    problem, point = _kernel_row_cut_problem(eps)
+    cert = certify_crep(problem, point, n_samples=0, groups={"z1": slice(1, 2)})
+    a = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, eps]])
+    assert cert.passed and cert.r == 2
+    assert cert.k == (2 if side > 0 else 1) == numerical_rank(np.delete(a, 1, axis=1), problem.rtol).rank
+    # Above the cut the group's gap is sigma_r([j_y j_z]) = 1 times the kept cosine.
+    assert cert.fragile == (side > 0)
+    if side > 0:
+        assert cert.min_gap == pytest.approx(eps, rel=1e-6)
+
+
+def test_group_rank_crossing_the_kernel_row_cut_fails_the_certificate():
+    # eps is 0.999e-8 at the point and 1.001e-8 at the samples, 1e-4 away.
+    problem, point = _kernel_row_cut_problem(1e-8 * (1.0 - 1e-3), curvature=2e-3)
+    cert = certify_crep(problem, point, n_samples=2, groups={"y": slice(0, 1), "z1": slice(1, 2)})
+    assert (cert.r, cert.k, cert.samples_checked, cert.passed) == (2, 1, 2, False)
+    assert list(cert.messages) == [
+        f"sample {i}: ranks (r=2, k=2) differ from reference (r=2, k=1) for group z1" for i in range(2)
+    ]
+
+
+@pytest.mark.parametrize("level, extra", [(0.8, 0), (1.2, 2)])
+def test_sample_rank_df_counts_j_x_off_range_past_the_tolerance(level, extra):
+    # j_x off range [j_y j_z] is level * tolerance * I_2: its Frobenius norm passes the tolerance
+    # at both levels, its singular values only at 1.2.
+    j_x = np.vstack([np.ones((1, 2)), level * 1e-8 * np.eye(2)])
+    blocks = JacobianBlocks(j_x, np.eye(3)[:, :1], np.zeros((3, 0)))
+    r, _, rank_df, _, _, problems = crep._rank_checks(blocks, 1e-12, {"y": slice(0, 1)}, 1e-8)
+    assert (r, rank_df) == (1, 1 + extra)
+    assert problems == ([f"rank DF = {1 + extra} differs from rank [j_y j_z] = 1"] if extra else [])
+
+
+def test_certificate_takes_one_numerical_rank(monkeypatch):
+    """Four groups and two samples: the certificate's one numerical_rank is the reference's SVD of DF.
+    (The Tucker input retraction's HOSVD checks its core's ranks on its own, outside crep.)"""
+    point = random_tucker_point((8, 8, 8), (3, 3, 3), 0)
+    problem, pt = build_tucker_crep(TuckerCrepConfig(point, "core"))
+    shapes = []
+
+    def counting(m, *args, _real=linalg.numerical_rank):
+        shapes.append(np.shape(m))
+        return _real(m, *args)
+
+    monkeypatch.setattr(crep, "numerical_rank", counting)
+    cert = certify_crep(problem, pt, n_samples=2, groups=_tucker_groups(point, problem))
+    assert cert.passed and cert.samples_checked == 2
+    assert shapes == [(problem.dims.dim_x, sum(problem.dims[:3]))]
 
 
 def test_input_checks_raise():

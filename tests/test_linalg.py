@@ -386,8 +386,8 @@ def test_svd_has_one_entry_point():
 
 
 def test_kernel_row_cut_has_one_entry_point():
-    """``_svd(..., scale=...)`` cuts rows of an orthonormal kernel basis; the kappa stage and the
-    resolver take that cut, and the nearest solution it selects, from one function."""
+    """``_svd(..., scale=...)`` cuts rows of an orthonormal kernel basis; the kappa stage, the
+    resolver and the certificate's group ranks take that cut from one function."""
     callers = set()
 
     def visit(node, where):
@@ -401,7 +401,7 @@ def test_kernel_row_cut_has_one_entry_point():
 
     for path in sorted(Path(crepcond.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
-    assert callers == {"crep._nearest_solution"}
+    assert callers == {"crep._kernel_rows"}
 
 
 def _gram_error_norms(tree):
