@@ -157,8 +157,9 @@ class CrepProblem:
     shared read-only arrays, which callers must not modify.  Each point is
     evaluated once per call: the kappa stage of :func:`condition_numbers`
     reuses its certificate's evaluation, and each certificate sample reuses
-    the resolver's last one, adding only the input chart.  ``scale`` is a
-    characteristic magnitude of the reference data used to set default
+    the resolver's last one, adding only the input chart; started at the first-order
+    prediction, it ends after two evaluations (one on a linear problem).  ``scale`` is
+    a characteristic magnitude of the reference data used to set default
     solver and sampling tolerances.
 
     ``tangent_blocks(x, y, z, r)``, when given, replaces ``jacobian`` and the
@@ -239,15 +240,19 @@ def _feasible_residual_norm(r, feas_tol: float) -> float:
 
 @dataclass(frozen=True)
 class JacobianBlocks:
-    """Partial derivatives of ``F`` at a solution, in chart coordinates."""
+    """Partial derivatives of ``F`` at a solution, in chart coordinates.
+
+    Privately, the chart bases (from :func:`chart_blocks`) and the SVDs of ``[j_y j_z]`` and of its
+    kernel rows that :func:`certify_crep` shares with its first-order predictor and the kappa stage."""
 
     j_x: np.ndarray
     j_y: np.ndarray
     j_z: np.ndarray
-    # Private: the input and output chart bases (set by chart_blocks) and an SVD of [j_y j_z] (see _yz_svd).
     _x_basis: np.ndarray | None = field(default=None, repr=False, compare=False)
     _y_basis: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _z_basis: np.ndarray | None = field(default=None, repr=False, compare=False)
     _yz: _Svd | None = field(default=None, repr=False, compare=False)
+    _rows: dict | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         j_x = as_matrix(self.j_x, "j_x")
@@ -327,8 +332,9 @@ def chart_blocks(problem: CrepProblem, x, y, z) -> JacobianBlocks:
     """Jacobian blocks at ``(x, y, z)`` in chart coordinates: the ambient Jacobians projected
     onto the charts, or the compressed rows of the problem's ``tangent_blocks``."""
     cx = problem.x_chart(x, y, z)
-    j_x, j_y, j_z, _, cy, _ = _evaluate(problem, x, y, z)
-    return JacobianBlocks(j_x=_x_block(problem, j_x, x, y, z, cx), j_y=j_y, j_z=j_z, _x_basis=cx.basis, _y_basis=cy.basis)
+    j_x, j_y, j_z, _, cy, cz = _evaluate(problem, x, y, z)
+    return JacobianBlocks(j_x=_x_block(problem, j_x, x, y, z, cx), j_y=j_y, j_z=j_z,
+                          _x_basis=cx.basis, _y_basis=cy.basis, _z_basis=cz.basis)
 
 
 def evaluate_blocks(problem: CrepProblem, point: CrepPoint) -> JacobianBlocks:
@@ -413,16 +419,18 @@ def _yz_svd(blocks: JacobianBlocks, rtol: float | None) -> _Svd:
     return _svd(j_yz, rtol, full=j_yz.shape[0] < j_yz.shape[1])
 
 
-def _kernel_rows(kern_rows: np.ndarray, rtol: float | None) -> _Svd:
-    """SVD of rows of an orthonormal kernel basis, cut at ``rtol * 1``: their singular values are cosines."""
-    return _svd(kern_rows, rtol, scale=1.0)
+def _kernel_rows(kern: np.ndarray, rows: slice, rtol: float | None, known: dict | None = None) -> _Svd:
+    """SVD of the ``rows`` of an orthonormal kernel basis, cut at ``rtol * 1``: their singular values are
+    cosines.  ``known`` (a certificate reference's ``_rows``) keeps each one, by row range, for the next caller."""
+    key, known = rows.indices(len(kern))[:2], {} if known is None else known
+    return known[key] if key in known else known.setdefault(key, _svd(kern[rows], rtol, scale=1.0))
 
 
-def _nearest_solution(p: np.ndarray, kern: np.ndarray, rows: slice, rtol: float | None) -> tuple[np.ndarray, np.ndarray]:
-    """Of the solutions ``p + kern c`` (``kern`` an orthonormal kernel basis), the one whose ``rows`` are
-    smallest, as the kappa stage and the resolver choose: those rows (``p``'s off the span of ``kern[rows]``)
-    and ``c``, at the cut of :func:`_kernel_rows`."""
-    g = _kernel_rows(kern[rows], rtol)
+def _nearest_solution(p: np.ndarray, kern: np.ndarray, rows: slice, rtol: float | None, known: dict | None = None) -> tuple:
+    """Of the solutions ``p + kern c`` (``kern`` an orthonormal kernel basis; ``p`` a vector or columns), the
+    one whose ``rows`` are smallest, as the kappa stage, the certificate's predictor and the resolver choose:
+    those rows (``p``'s off the span of ``kern[rows]``) and ``c``, at the cut of :func:`_kernel_rows`."""
+    g = _kernel_rows(kern, rows, rtol, known)
     b = g.u[:, : g.rank]
     return p[rows] - b @ (b.T @ p[rows]), -_lstsq(g, p[rows])
 
@@ -446,7 +454,7 @@ def _minnorm_derivatives(
     except ValueError as exc:
         raise RankHypothesisError(f"linearised system is inconsistent: {exc}") from exc
     kern = f.vh[f.rank :].T
-    return {label: _nearest_solution(dh_yz, kern, cols, rtol)[0] for label, cols in groups.items()}, dh_yz
+    return {label: _nearest_solution(dh_yz, kern, cols, rtol, blocks._rows)[0] for label, cols in groups.items()}, dh_yz
 
 
 def solution_map_derivative_minnorm(blocks: JacobianBlocks, rtol: float | None = None) -> np.ndarray:
@@ -547,7 +555,7 @@ def _rank_checks(blocks: JacobianBlocks, rtol: float, groups: dict[str, slice], 
     r, kern, sigma_r = f.rank, f.vh[f.rank :].T, f.s[f.rank - 1] if f.rank else np.inf
     k, gaps = {}, [RankDecision(r, f.s, f.tol).gap_at_cut()]
     for label, cols in groups.items():
-        g = _kernel_rows(kern[cols], rtol)
+        g = _kernel_rows(kern, cols, rtol, blocks._rows)
         k[label] = r - (cols.stop - cols.start) + g.rank
         gaps.append(sigma_r * RankDecision(g.rank, g.s, g.tol).gap_at_cut())
     if tolerance is None:
@@ -563,6 +571,17 @@ def _rank_checks(blocks: JacobianBlocks, rtol: float, groups: dict[str, slice], 
     return r, k, rank_df, tolerance, min(gaps), problems
 
 
+def _predicted_starts(problem: CrepProblem, point: CrepPoint, blocks: JacobianBlocks, steps: np.ndarray) -> list:
+    """First-order predictions ``(y, z)`` at the inputs moved from ``point`` by the rows of ``steps`` (x-chart coordinates):
+    the solution of ``[j_y j_z] d = -j_x step`` nearest in y (:func:`_nearest_solution`), retracted along the charts."""
+    f, dim_y = _yz_svd(blocks, problem.rtol), problem.dims.dim_y
+    kern, p = f.vh[f.rank :].T, _lstsq(f, -blocks.j_x @ steps.T)
+    w, c = _nearest_solution(p, kern, slice(0, dim_y), problem.rtol, blocks._rows)
+    dz = (p[dim_y:] + kern[dim_y:] @ c).T
+    return [(problem.y_retract(point.y, blocks._y_basis @ w_i), problem.z_retract(point.z, blocks._z_basis @ dz_i))
+            for w_i, dz_i in zip(w.T, dz)]
+
+
 def certify_crep(
     problem: CrepProblem,
     point: CrepPoint,
@@ -575,7 +594,9 @@ def certify_crep(
 
     Nearby solutions are produced by moving the input ``1e-4 * problem.scale`` along a seeded
     random unit direction of its tangent chart, retracting, and re-solving for ``(y, z)`` with the
-    constrained resolver.  The certificate fails if any rank check fails, if the ranks vary across
+    constrained resolver, started at the first-order prediction (:func:`_predicted_starts`, from the
+    reference's SVD of ``[j_y j_z]``), one evaluation sooner than from ``(y0, z0)``: its convergence
+    test is unchanged.  The certificate fails if any rank check fails, if the ranks vary across
     samples, or if no perturbed sample could be re-solved.  Re-solve failures are counted and the
     sample is skipped.  Every rank cut, the resolver's included, is taken at ``problem.rtol``.
     A point's ranks come from its one SVD of ``[j_y j_z]`` (:func:`_rank_checks`); the
@@ -598,7 +619,7 @@ def certify_crep(
         raise ValueError(f"groups must be nonempty ranges slice(start, stop) of the {n_cols} columns of [y z], got {groups}")
 
     blocks0 = evaluate_blocks(problem, point)
-    blocks0 = replace(blocks0, _yz=_yz_svd(blocks0, rtol))  # one SVD, shared with the kappa stage
+    blocks0 = replace(blocks0, _yz=_yz_svd(blocks0, rtol), _rows={})  # SVDs shared with the predictor and the kappa stage
     if (sink := _REFERENCE_BLOCKS.get()) is not None:
         sink.append(blocks0)
     r0, k0, rank_df0, tolerance_abs, min_gap, messages = _rank_checks(blocks0, rtol, groups)
@@ -606,9 +627,10 @@ def certify_crep(
     from . import empirical  # deferred: empirical builds on this module
 
     samples_checked = resolve_failures = 0
-    for i in range(n_samples):
-        x_pert = problem.x_retract(point.x, blocks0._x_basis @ (radius * _unit_direction(seed, i, dims.dim_x)))
-        result = empirical.constrained_nearest_solution(problem, point, x_pert)
+    steps = np.array([radius * _unit_direction(seed, i, dims.dim_x) for i in range(n_samples)]).reshape(n_samples, dims.dim_x)
+    for i, start in enumerate(_predicted_starts(problem, point, blocks0, steps)):
+        x_pert = problem.x_retract(point.x, blocks0._x_basis @ steps[i])
+        result = empirical.constrained_nearest_solution(problem, point, x_pert, start=start)
         if not result.converged:
             resolve_failures += 1
             messages.append(f"sample {i}: re-solve failed ({result.message})")

@@ -50,8 +50,8 @@ class ResolveFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class ResolveResult:
-    """Outcome of re-solving the system for a perturbed input; ``iterations``
-    counts linearisations, one per evaluation of the Jacobian blocks."""
+    """Outcome of re-solving the system for a perturbed input; ``iterations`` counts
+    evaluations of the Jacobian blocks: one at the start and one after each Newton step."""
 
     y: np.ndarray
     z: np.ndarray
@@ -81,11 +81,12 @@ def constrained_nearest_solution(
     x_pert,
     max_iter: int = 100,
     z_trust: float | None = None,
+    *, start: tuple | None = None,
 ) -> ResolveResult:
     """Feasible ``(y, z)`` for input ``x_pert`` locally minimising ``||y - y0||``.
 
-    Each iteration evaluates the blocks and charts once at the current ``(y, z)``,
-    starting from ``(y0, z0)``, and takes a Newton step with the
+    Each iteration evaluates the blocks and charts once at the current ``(y, z)``, the
+    first at ``start`` (ambient; default ``(y0, z0)``), and takes a Newton step with the
     Moore-Penrose inverse cut at ``problem.rtol``, chosen as the kappa stage
     chooses ``DH``: of the least-squares solutions of ``j_y dy + j_z dz = -r``
     (coordinates of the y and z charts that evaluation returns, ``r`` the
@@ -98,14 +99,15 @@ def constrained_nearest_solution(
     1e-12 * problem.scale`` and ``||dy||``, at a feasible point
     the first-order optimality residual, at most ``10 * solver_tol``.  Ending
     farther than ``z_trust`` (default ``0.5 * max(1, ||z0||)``) from ``z0``
-    marks the result as not converged.
+    marks the result as not converged.  ``max_iter`` bounds the Newton steps,
+    so ``iterations`` (evaluations) is at most ``max_iter + 1``.
     """
     x = np.asarray(x_pert, dtype=float).ravel()
     solver_tol = 1e-12 * problem.scale
     if z_trust is None:
         z_trust = 0.5 * max(1.0, float(np.linalg.norm(point.z)))
     dim_y, rtol = problem.dims.dim_y, problem.rtol
-    y, z = point.y.copy(), point.z.copy()
+    y, z = (np.array(v, dtype=float) for v in ((point.y, point.z) if start is None else start))
     r = problem.residual(x, y, z)
     current = float(np.linalg.norm(r))
     evaluation = None
@@ -162,11 +164,10 @@ def finite_difference_check(
 ) -> list[float]:
     """Relative errors of central differences of the resolver against ``DH``.
 
-    ``direction`` is a unit vector in the input chart.  For each step ``t``
-    the input is moved to ``x0 +- t * direction`` (retracted), re-solved in
-    at most 100 iterations, and ``(y(t) - y(-t)) / 2t`` is compared with the
-    ambient image of ``DH @ direction``.  Errors decrease with ``t`` down to
-    the solver noise floor.  A failed re-solve raises :class:`ResolveFailure`.
+    ``direction`` is a unit vector in the input chart.  For each step ``t`` the input is moved to
+    ``x0 +- t * direction`` (retracted), re-solved from ``(y0, z0)`` in at most 100 Newton steps, and
+    ``(y(t) - y(-t)) / 2t`` is compared with the ambient image of ``DH @ direction``.  Errors decrease
+    with ``t`` down to the solver noise floor.  A failed re-solve raises :class:`ResolveFailure`.
     """
     direction = np.asarray(direction, dtype=float).ravel()
     if abs(float(np.linalg.norm(direction)) - 1.0) > 1e-8:
@@ -205,7 +206,9 @@ def empirical_condition(
     the top right-singular direction of ``DH`` is always added as one
     deterministic extra sample, so the estimate brackets the condition
     number from below at first order.  The reported ratio uses the actual
-    ambient input distance after retraction.
+    ambient input distance after retraction.  Samples start at ``(y0, z0)``:
+    from the certificate's first-order start, polar at radius 1 stalls at the pole
+    ``y = 0`` (``test_analyze_empirical_past_the_polar_pole_reports_failed_samples``).
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")

@@ -748,6 +748,79 @@ def test_certificate_takes_one_numerical_rank(monkeypatch):
     assert shapes == [(problem.dims.dim_x, sum(problem.dims[:3]))]
 
 
+def test_certified_point_takes_each_kernel_row_svd_once(monkeypatch):
+    """The reference's rank checks, its predictor and the kappa stage share each group's kernel-row SVD."""
+    point = random_tucker_point((6, 5, 4), (2, 2, 2), 0)
+    problem, pt = build_tucker_crep(TuckerCrepConfig(point, "core"))
+    rows = []
+
+    def counting(m, *args, _real=crep._svd, **kwargs):
+        if kwargs.get("scale") == 1.0:
+            rows.append(np.asarray(m).tobytes())
+        return _real(m, *args, **kwargs)
+
+    monkeypatch.setattr(crep, "_svd", counting)
+    report = group_condition_numbers(problem, pt, _tucker_groups(point, problem), n_samples=0)
+    assert report.certificate.passed and len(rows) == len(set(rows)) == 4
+
+
+def test_certificate_evaluates_each_sample_twice():
+    """Each re-solve starts at the first-order prediction and ends after two evaluations of the
+    Tucker hook (three from (y0, z0)): five in all with the reference's one."""
+    point = random_tucker_point((8, 8, 8), (3, 3, 3), 0)
+    problem, pt = build_tucker_crep(TuckerCrepConfig(point, "core"))
+    counts = _count_calls(problem, ("tangent_blocks",))
+    cert = certify_crep(problem, pt, n_samples=2, groups=_tucker_groups(point, problem))
+    assert cert.passed and cert.samples_checked == 2
+    assert counts == {"tangent_blocks": 5}
+
+
+def test_linear_certificate_samples_take_one_evaluation(monkeypatch):
+    """On a linear problem the first-order prediction is the solution, so its first evaluation converges."""
+    results = []
+    resolve = empirical.constrained_nearest_solution
+
+    def recording(*args, **kwargs):
+        results.append(resolve(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(empirical, "constrained_nearest_solution", recording)
+    for i in range(20):
+        b = random_linearized_blocks((9, i))
+        assert certify_crep(*linearized_problem(b.j_x, b.j_y, b.j_z), n_samples=2, seed=i).samples_checked == 2
+    assert [r.iterations for r in results] == [1] * 40
+
+
+PREDICTOR_CASES = {
+    "tucker_core": lambda: build_tucker_crep(TuckerCrepConfig(random_tucker_point((8, 8, 8), (3, 3, 3), 0), "core")),
+    "tucker_U1": lambda: build_tucker_crep(TuckerCrepConfig(random_tucker_point((6, 5, 4), (2, 2, 2), 0), 0)),
+    "mf": lambda: matrix_factorization_problem(20, 15, 5, seed=0),
+    "polar": lambda: polar_problem(0.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PREDICTOR_CASES))
+def test_predicted_start_reaches_the_same_solution_and_misses_it_at_second_order(case):
+    """From the certificate's prediction the resolver converges to the y it reaches from (y0, z0), within
+    1e-9 * radius, and the prediction misses that y by O(radius**2): miss * scale / radius**2 is at most 10
+    and the same, within 10%, at radius 1e-4 * scale (the certificate's) and 1e-3 * scale."""
+    problem, point = PREDICTOR_CASES[case]()
+    blocks = evaluate_blocks(problem, point)
+    for i in range(2):
+        u = crep._unit_direction(0, i, problem.dims.dim_x)
+        misses = []
+        for radius in (1e-4 * problem.scale, 1e-3 * problem.scale):
+            x = problem.x_retract(point.x, blocks._x_basis @ (radius * u))
+            start = crep._predicted_starts(problem, point, blocks, radius * u[None, :])[0]
+            predicted = empirical.constrained_nearest_solution(problem, point, x, start=start)
+            plain = empirical.constrained_nearest_solution(problem, point, x)
+            assert predicted.converged and plain.converged
+            assert np.linalg.norm(predicted.y - plain.y) <= 1e-9 * radius
+            misses.append(float(np.linalg.norm(predicted.y - start[0])) * problem.scale / radius**2)
+        assert max(misses) <= 10.0
+        assert misses[1] == pytest.approx(misses[0], rel=0.1)
+
+
 def test_input_checks_raise():
     problem, point = polar_problem(0.0)
     with pytest.raises(ValueError, match="n_samples must be nonnegative"):
