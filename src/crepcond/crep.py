@@ -243,7 +243,8 @@ class JacobianBlocks:
     """Partial derivatives of ``F`` at a solution, in chart coordinates.
 
     Privately, the chart bases (from :func:`chart_blocks`) and the SVDs of ``[j_y j_z]`` and of its
-    kernel rows that :func:`certify_crep` shares with its first-order predictor and the kappa stage."""
+    kernel rows, shared by every computation at the point: at a reference point (:func:`_reference_blocks`)
+    its rank checks, first-order predictor and ``DH``; at a certificate sample, the resolver and the rank checks."""
 
     j_x: np.ndarray
     j_y: np.ndarray
@@ -571,6 +572,13 @@ def _rank_checks(blocks: JacobianBlocks, rtol: float, groups: dict[str, slice], 
     return r, k, rank_df, tolerance, min(gaps), problems
 
 
+def _reference_blocks(problem: CrepProblem, point: CrepPoint) -> JacobianBlocks:
+    """:func:`evaluate_blocks` with the SVD of ``[j_y j_z]`` and a kernel-row memo (``_rows``), which the
+    rank checks, the min-norm ``DH`` and :func:`_predicted_starts` at the point then share."""
+    blocks = evaluate_blocks(problem, point)
+    return replace(blocks, _yz=_yz_svd(blocks, problem.rtol), _rows={})
+
+
 def _predicted_starts(problem: CrepProblem, point: CrepPoint, blocks: JacobianBlocks, steps: np.ndarray) -> list:
     """First-order predictions ``(y, z)`` at the inputs moved from ``point`` by the rows of ``steps`` (x-chart coordinates):
     the solution of ``[j_y j_z] d = -j_x step`` nearest in y (:func:`_nearest_solution`), retracted along the charts."""
@@ -618,8 +626,7 @@ def certify_crep(
                            for c in groups.values()):
         raise ValueError(f"groups must be nonempty ranges slice(start, stop) of the {n_cols} columns of [y z], got {groups}")
 
-    blocks0 = evaluate_blocks(problem, point)
-    blocks0 = replace(blocks0, _yz=_yz_svd(blocks0, rtol), _rows={})  # SVDs shared with the predictor and the kappa stage
+    blocks0 = _reference_blocks(problem, point)  # its SVDs are shared with the predictor and the kappa stage
     if (sink := _REFERENCE_BLOCKS.get()) is not None:
         sink.append(blocks0)
     r0, k0, rank_df0, tolerance_abs, min_gap, messages = _rank_checks(blocks0, rtol, groups)
@@ -635,8 +642,8 @@ def certify_crep(
             resolve_failures += 1
             messages.append(f"sample {i}: re-solve failed ({result.message})")
             continue
-        j_x, j_y, j_z, f_yz = result._evaluation  # the resolver's last evaluation
-        blocks_i = JacobianBlocks(_x_block(problem, j_x, x_pert, result.y, result.z), j_y, j_z, _yz=f_yz)
+        j_x, j_y, j_z, f_yz, rows = result._evaluation  # the resolver's last evaluation
+        blocks_i = JacobianBlocks(_x_block(problem, j_x, x_pert, result.y, result.z), j_y, j_z, _yz=f_yz, _rows=rows)
         r_i, k_i, _, _, gap_i, problems_i = _rank_checks(blocks_i, rtol, groups, tolerance_abs)
         min_gap = min(min_gap, gap_i)
         samples_checked += 1

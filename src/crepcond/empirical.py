@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .crep import (CrepPoint, CrepProblem, _evaluate, _nearest_solution, _unit_direction, evaluate_blocks,
-                   solution_map_derivative_minnorm)
+from .crep import (CrepPoint, CrepProblem, _evaluate, _nearest_solution, _predicted_starts, _reference_blocks,
+                   _unit_direction, solution_map_derivative_minnorm)
 from .linalg import _lstsq, _svd
 
 __all__ = [
@@ -59,8 +59,9 @@ class ResolveResult:
     iterations: int
     converged: bool
     message: str = ""
-    # Private: (j_x, j_y, j_z, SVD of [j_y j_z]) at (y, z), the blocks as crep._evaluate returns them (crep._x_block
-    # puts j_x in x-chart coordinates); certify_crep takes every rank of a sample from them.
+    # Private: (j_x, j_y, j_z, SVD of [j_y j_z], SVDs of its kernel rows by row range) at (y, z), the blocks as
+    # crep._evaluate returns them (crep._x_block puts j_x in x-chart coordinates); certify_crep takes every rank
+    # of a sample from them.
     _evaluation: tuple | None = field(default=None, repr=False, compare=False)
 
 
@@ -119,13 +120,14 @@ def constrained_nearest_solution(
         j_x, j_y, j_z, qr, cy, cz = _evaluate(problem, x, y, z, r)
         j_yz = np.hstack([j_y, j_z])
         f = _svd(j_yz, rtol, full=j_yz.shape[0] < j_yz.shape[1])
-        evaluation = (j_x, j_y, j_z, f)
+        rows = {}  # the kernel-row SVD _nearest_solution takes, kept for certify_crep's rank checks
+        evaluation = (j_x, j_y, j_z, f, rows)
         # Every least-squares solution of [j_y j_z](w, dz) = j_y e - r is
         # p + K c, K the kernel; c minimises the new output error |w| = |e + dy|.
         e = cy.basis.T @ (y - point.y)
         p = _lstsq(f, j_y @ e - qr)
         kern = f.vh[f.rank :].T
-        w, c = _nearest_solution(p, kern, slice(0, dim_y), rtol)
+        w, c = _nearest_solution(p, kern, slice(0, dim_y), rtol, rows)
         dy = w - e
         dz = p[dim_y:] + kern[dim_y:] @ c
         if current <= solver_tol and float(np.linalg.norm(dy)) <= 10.0 * solver_tol:
@@ -156,6 +158,26 @@ def constrained_nearest_solution(
     )
 
 
+def _resolve_from_prediction(problem: CrepProblem, point: CrepPoint, x, start: tuple) -> ResolveResult:
+    """The re-solve at input ``x`` from the first-order prediction ``start`` (:func:`crep._predicted_starts`),
+    kept if it converged and its correction is second order: ``||y - y_pred|| <= 0.1 * ||y_pred - y0|| +
+    1e-12 * problem.scale``.  Otherwise the re-solve from ``(y0, z0)``.
+
+    Near the point the prediction misses the solution by O(radius**2) (0.13 to 2 * radius**2 / scale on
+    the built-in problems) while it moves y by O(radius), so the bound holds at every radius where ``DH``
+    describes the solution map; a larger correction means the first-order model fails there, as on polar
+    at radius 1, where the prediction converges to the other branch of the solution set.  The absolute
+    slack is the resolver's own tolerance, so a sample with ``y_pred = y0`` (``kappa_y = 0``) is kept
+    when its solution is ``y0``.
+    """
+    res = constrained_nearest_solution(problem, point, x, start=start)
+    y_pred = start[0]
+    bound = 0.1 * float(np.linalg.norm(y_pred - point.y)) + 1e-12 * problem.scale
+    if res.converged and float(np.linalg.norm(res.y - y_pred)) <= bound:
+        return res
+    return constrained_nearest_solution(problem, point, x)
+
+
 def finite_difference_check(
     problem: CrepProblem,
     point: CrepPoint,
@@ -165,32 +187,31 @@ def finite_difference_check(
     """Relative errors of central differences of the resolver against ``DH``.
 
     ``direction`` is a unit vector in the input chart.  For each step ``t`` the input is moved to
-    ``x0 +- t * direction`` (retracted), re-solved from ``(y0, z0)`` in at most 100 Newton steps, and
-    ``(y(t) - y(-t)) / 2t`` is compared with the ambient image of ``DH @ direction``.  Errors decrease
+    ``x0 +- t * direction`` (retracted) and re-solved in at most 100 Newton steps, from the first-order
+    prediction while its correction is second order, else from ``(y0, z0)`` (:func:`_resolve_from_prediction`),
+    and ``(y(t) - y(-t)) / 2t`` is compared with the ambient image of ``DH @ direction``.  Errors decrease
     with ``t`` down to the solver noise floor.  A failed re-solve raises :class:`ResolveFailure`.
     """
     direction = np.asarray(direction, dtype=float).ravel()
     if abs(float(np.linalg.norm(direction)) - 1.0) > 1e-8:
         raise ValueError("direction must have unit norm in the input chart")
-    blocks = evaluate_blocks(problem, point)
+    steps = [float(t) for t in steps]
+    if not all(t > 0.0 for t in steps):
+        raise ValueError("steps must be positive")
+    blocks = _reference_blocks(problem, point)
     dh = solution_map_derivative_minnorm(blocks, problem.rtol)
     predicted = blocks._y_basis @ (dh @ direction)
     pred_norm = float(np.linalg.norm(predicted))
-    errors = []
-    for t in steps:
-        t = float(t)
-        if not t > 0.0:
-            raise ValueError("steps must be positive")
-        results = []
-        for sign in (+1.0, -1.0):
-            x_t = problem.x_retract(point.x, blocks._x_basis @ (sign * t * direction))
-            res = constrained_nearest_solution(problem, point, x_t)
-            if not res.converged:
-                raise ResolveFailure(f"re-solve failed at step {sign * t:+.3e}: {res.message}")
-            results.append(res)
-        fd = (results[0].y - results[1].y) / (2.0 * t)
-        errors.append(float(np.linalg.norm(fd - predicted)) / max(pred_norm, np.finfo(float).tiny))
-    return errors
+    signed = [sign * t for t in steps for sign in (+1.0, -1.0)]
+    moves = np.array([s * direction for s in signed]).reshape(len(signed), direction.size)
+    ys = []
+    for s, move, start in zip(signed, moves, _predicted_starts(problem, point, blocks, moves)):
+        res = _resolve_from_prediction(problem, point, problem.x_retract(point.x, blocks._x_basis @ move), start)
+        if not res.converged:
+            raise ResolveFailure(f"re-solve failed at step {s:+.3e}: {res.message}")
+        ys.append(res.y)
+    return [float(np.linalg.norm((y_plus - y_minus) / (2.0 * t) - predicted)) / max(pred_norm, np.finfo(float).tiny)
+            for t, y_plus, y_minus in zip(steps, ys[0::2], ys[1::2])]
 
 
 def empirical_condition(
@@ -206,25 +227,29 @@ def empirical_condition(
     the top right-singular direction of ``DH`` is always added as one
     deterministic extra sample, so the estimate brackets the condition
     number from below at first order.  The reported ratio uses the actual
-    ambient input distance after retraction.  Samples start at ``(y0, z0)``:
-    from the certificate's first-order start, polar at radius 1 stalls at the pole
-    ``y = 0`` (``test_analyze_empirical_past_the_polar_pole_reports_failed_samples``).
+    ambient input distance after retraction.  Each sample is re-solved from
+    its first-order prediction, kept only while the correction is second
+    order (at most a tenth of the predicted move, plus the resolver's
+    tolerance), and otherwise from ``(y0, z0)`` (:func:`_resolve_from_prediction`):
+    past the certificate's radius, as on polar at radius 1, a prediction can
+    converge to another branch or stall at the pole ``y = 0``.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     if not (math.isfinite(radius) and radius > 0.0):
         raise ValueError(f"radius must be finite and positive, got {radius}")
-    blocks = evaluate_blocks(problem, point)
+    blocks = _reference_blocks(problem, point)
     dh = solution_map_derivative_minnorm(blocks, problem.rtol)
     directions = [_unit_direction(seed, i, problem.dims.dim_x) for i in range(n_samples)]
     if dh.size:
         directions.append(_svd(dh).vh[0])
+    moves = np.array([radius * u for u in directions]).reshape(len(directions), problem.dims.dim_x)
 
     max_ratio = 0.0
     n_failed = 0
-    for u in directions:
-        x_t = problem.x_retract(point.x, blocks._x_basis @ (radius * u))
-        res = constrained_nearest_solution(problem, point, x_t)
+    for move, start in zip(moves, _predicted_starts(problem, point, blocks, moves)):
+        x_t = problem.x_retract(point.x, blocks._x_basis @ move)
+        res = _resolve_from_prediction(problem, point, x_t, start)
         if not res.converged:
             n_failed += 1
             continue

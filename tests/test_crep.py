@@ -29,7 +29,8 @@ from crepcond.problems import (
     polar_problem,
     random_linearized_blocks,
 )
-from crepcond.tucker import TuckerCrepConfig, build_tucker_crep, random_orthogonal, random_stiefel, random_tucker_point
+from crepcond.tucker import (TuckerCrepConfig, build_tucker_crep, cross_validate, random_orthogonal, random_stiefel,
+                             random_tucker_point)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -762,6 +763,20 @@ def test_certified_point_takes_each_kernel_row_svd_once(monkeypatch):
     monkeypatch.setattr(crep, "_svd", counting)
     report = group_condition_numbers(problem, pt, _tucker_groups(point, problem), n_samples=0)
     assert report.certificate.passed and len(rows) == len(set(rows)) == 4
+
+
+def test_cross_validate_takes_each_kernel_row_svd_once(monkeypatch):
+    """Each certificate sample's rank checks reuse the kernel-row SVD of the resolver's last evaluation."""
+    rows = []
+
+    def counting(m, *args, _real=crep._svd, **kwargs):
+        if kwargs.get("scale") == 1.0:
+            rows.append(np.asarray(m).tobytes())
+        return _real(m, *args, **kwargs)
+
+    monkeypatch.setattr(crep, "_svd", counting)
+    cross_validate(random_tucker_point((8, 8, 8), (3, 3, 3), 0))
+    assert len(rows) == len(set(rows)) == 14
 
 
 def test_certificate_evaluates_each_sample_twice():

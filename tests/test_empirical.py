@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from crepcond import empirical
 from crepcond.crep import (
     CrepDims,
     CrepProblem,
     TangentChart,
+    _unit_direction,
     evaluate_blocks,
     make_crep_point,
     solution_map_derivative,
@@ -20,7 +22,7 @@ from crepcond.empirical import (
     jacobian_consistency_check,
 )
 from crepcond.linalg import kernel_basis, orthonormalize
-from crepcond.problems import linearized_problem, matrix_factorization_problem, polar_problem
+from crepcond.problems import linearized_problem, matrix_factorization_problem, polar_problem, random_linearized_blocks
 from crepcond.tensor import TuckerPoint
 from crepcond.tucker import TuckerCrepConfig, build_tucker_crep, random_stiefel, random_tucker_point
 
@@ -249,6 +251,83 @@ def test_empirical_validates_arguments():
     for radius in (math.nan, math.inf):
         with pytest.raises(ValueError, match="radius"):
             empirical_condition(problem, point, radius=radius, n_samples=4)
+
+
+def test_empirical_past_the_polar_pole_keeps_the_branch_of_the_reference():
+    """Around x0 = 0.5 at radius 1 the first-order prediction for x = -0.5 is y = -2, from which the resolver
+    reaches the far branch y = -2/3 (ratio 8/3); the guard re-solves that sample from (y0, z0), which reaches
+    y = 2/3 (ratio 4/3).  The other four samples land past the pole x = 1 and fail."""
+    est = empirical_condition(*polar_problem(0.5), radius=1.0, n_samples=5, seed=3)
+    assert est.n_failed == 4
+    assert est.max_ratio == pytest.approx(4.0 / 3.0, abs=1e-12)
+
+
+def test_empirical_condition_evaluates_each_sample_twice():
+    """Started at the first-order prediction, each sample, the top direction of DH included, takes two
+    evaluations of the Tucker hook (three from (y0, z0)); the reference point takes one."""
+    point = random_tucker_point((6, 5, 4), (3, 3, 2), 0)
+    problem, pt = build_tucker_crep(TuckerCrepConfig(point, 0))
+    hook, calls = problem.tangent_blocks, []
+    problem.tangent_blocks = lambda *args: calls.append(args) or hook(*args)
+    for n in (1, 4):
+        calls.clear()
+        assert empirical_condition(problem, pt, radius=1e-4 * problem.scale, n_samples=n, seed=n).n_failed == 0
+        assert len(calls) == 1 + 2 * (n + 1)
+
+
+def _recorded_resolves(monkeypatch) -> list:
+    """Every re-solve the empirical routines make from now on, as ``(x, start, result)``."""
+    calls, resolve = [], empirical.constrained_nearest_solution
+
+    def recording(problem, point, x, *args, **kwargs):
+        calls.append((x, kwargs.get("start"), resolve(problem, point, x, *args, **kwargs)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(empirical, "constrained_nearest_solution", recording)
+    return calls
+
+
+PREDICTED_CASES = {
+    "mf": lambda: matrix_factorization_problem(20, 15, 5, seed=0),
+    "tucker_U1": lambda: build_tucker_crep(TuckerCrepConfig(random_tucker_point((6, 5, 4), (3, 3, 2), 0), 0)),
+    "polar": lambda: polar_problem(0.0),
+    # kappa_y = 0: the prediction is y0, and the solution differs from it by roundoff only.
+    "flat": swapped_polar,
+}
+
+
+@pytest.mark.parametrize("case", sorted(PREDICTED_CASES))
+def test_predicted_samples_reach_the_solution_from_the_reference(case, monkeypatch):
+    """At radius 1e-4 * scale every re-solve of both routines keeps its predicted start (none falls back to
+    (y0, z0)), and its y is within 1e-9 * radius of the y the resolver reaches from (y0, z0)."""
+    problem, point = PREDICTED_CASES[case]()
+    radius = 1e-4 * problem.scale
+    resolve = empirical.constrained_nearest_solution
+    calls = _recorded_resolves(monkeypatch)
+    assert empirical_condition(problem, point, radius=radius, n_samples=4, seed=1).n_failed == 0
+    finite_difference_check(problem, point, _unit_direction(2, 0, problem.dims.dim_x), [radius])
+    assert len(calls) == 5 + 2 and all(start is not None for _, start, _ in calls)
+    for x, _, result in calls:
+        plain = resolve(problem, point, x)
+        assert result.converged and plain.converged
+        assert np.linalg.norm(result.y - plain.y) <= 1e-9 * radius
+
+
+def test_linear_empirical_samples_take_one_evaluation(monkeypatch):
+    """On a linear problem the first-order prediction is the solution: each sample converges at its first
+    evaluation and is kept, on a problem whose latent block absorbs every input move (kappa_y = 0) too."""
+    calls = _recorded_resolves(monkeypatch)
+    rng = np.random.default_rng(23)
+    absorbed = linearized_problem(rng.standard_normal((3, 2)), rng.standard_normal((3, 2)),
+                                  rng.standard_normal((3, 3)) + 3 * np.eye(3))
+    cases = [linearized_problem(b.j_x, b.j_y, b.j_z) for b in map(random_linearized_blocks, ((9, i) for i in range(10)))]
+    for i, (problem, point) in enumerate([*cases, absorbed]):
+        calls.clear()
+        est = empirical_condition(problem, point, radius=1e-4 * problem.scale, n_samples=3, seed=i)
+        finite_difference_check(problem, point, _unit_direction(i, 0, problem.dims.dim_x), [1e-4])
+        assert est.n_failed == 0 and len(calls) == 4 + 2
+        assert all(start is not None and result.iterations == 1 for _, start, result in calls)
+    assert est.max_ratio <= 1e-12  # the absorbed problem's y does not move
 
 
 # ---------------------------------------------------------------------------
