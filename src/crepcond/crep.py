@@ -156,11 +156,9 @@ class CrepProblem:
     Evaluators must be pure (safe for concurrent invocation) and may return
     shared read-only arrays, which callers must not modify.  Each point is
     evaluated once per call: the kappa stage of :func:`condition_numbers`
-    reuses its certificate's evaluation, and each certificate sample reuses
-    the resolver's last one, adding only the input chart; started at the first-order
-    prediction, it ends after two evaluations (one on a linear problem).  ``scale`` is
-    a characteristic magnitude of the reference data used to set default
-    solver and sampling tolerances.
+    reuses its certificate's evaluation, and a certificate sample takes one.
+    ``scale`` is a characteristic magnitude of the reference data used to set
+    default solver and sampling tolerances.
 
     ``tangent_blocks(x, y, z, r)``, when given, replaces ``jacobian`` and the
     y and z charts wherever blocks are evaluated.  It returns
@@ -168,15 +166,16 @@ class CrepProblem:
     coordinates on the right (``j_x = J_x B_x`` with the basis of
     ``x_chart``, ``j_y`` and ``j_z`` with the bases of the charts it returns,
     which are checked like those of ``y_chart`` and ``z_chart``; those two
-    then serve only the ambient reference path) and in the coordinates
-    ``q.T`` of an orthonormal residual basis ``q`` on the left, and
-    ``qr = q.T r`` for the ambient residual ``r`` (None when ``r`` is None).
-    The span of ``q`` must hold every column of the three chart blocks at
-    ``(x, y, z)``; then ``q.T`` keeps their Gram matrix, so every rank,
-    ``DH`` and least-squares step is the ambient one, from matrices with
-    fewer rows.  ``r`` need not lie in that span: the resolver tests
-    convergence on the ambient residual and steps with ``qr``.  Without the
-    hook, ``q`` is the identity.
+    then serve only the ambient reference path) and on the left in the
+    coordinates ``q.T`` of the x-chart basis ``q`` (checked: ``dims.dim_x``
+    rows, ``dims.n_residual`` ambient coordinates), and ``qr = q.T r`` for
+    the ambient residual ``r`` (None when ``r`` is None).  The span of ``q``
+    must hold every column of the three chart blocks at ``(x, y, z)``; then
+    ``q.T`` keeps their Gram matrix, so every rank, ``DH`` and least-squares
+    step is the ambient one, from fewer rows.  ``r`` need not lie in that
+    span: the resolver steps with ``qr``, the certificate's chord with the
+    reference x-chart basis times ``r``, and both test convergence on the
+    ambient residual.  Without the hook, ``q`` is the identity.
 
     ``rtol`` is the relative tolerance of every rank cut taken for the problem:
     the certificate's, the kappa stage's and the resolver's.  None (the default)
@@ -242,9 +241,8 @@ def _feasible_residual_norm(r, feas_tol: float) -> float:
 class JacobianBlocks:
     """Partial derivatives of ``F`` at a solution, in chart coordinates.
 
-    Privately, the chart bases (from :func:`chart_blocks`) and the SVDs of ``[j_y j_z]`` and of its
-    kernel rows, shared by every computation at the point: at a reference point (:func:`_reference_blocks`)
-    its rank checks, first-order predictor and ``DH``; at a certificate sample, the resolver and the rank checks."""
+    Privately, the chart bases (from :func:`chart_blocks`) and, at a reference point (:func:`_reference_blocks`),
+    the SVDs of ``[j_y j_z]`` and of its kernel rows, shared by its rank checks, sampler, predictor and ``DH``."""
 
     j_x: np.ndarray
     j_y: np.ndarray
@@ -293,25 +291,22 @@ def _project(problem: CrepProblem, mat, chart: TangentChart, label: str) -> np.n
 
 
 def _evaluate(problem: CrepProblem, x, y, z, r=None) -> tuple:
-    """One evaluation at ``(x, y, z)``: ``(j_x, j_y, j_z, q.T r, y_chart, z_chart)``, the blocks
-    in the residual coordinates ``q.T`` of :class:`CrepProblem`, with ``r`` the ambient residual
-    or None, and the charts ``j_y`` and ``j_z`` are in.
-
-    ``j_x`` is as the problem gives it, and :func:`_x_block` puts it in x-chart coordinates.  The
-    problem's ``tangent_blocks`` gives all six when it has one.  Otherwise ``q`` is the identity
-    and the ambient Jacobian is projected onto the problem's y and z charts.
-    """
+    """One evaluation at ``(x, y, z)``: ``(j_x, j_y, j_z, q.T r, y_chart, z_chart)``, the blocks in the
+    residual coordinates ``q.T`` of :class:`CrepProblem` (``r`` the ambient residual or None) and the
+    charts ``j_y`` and ``j_z`` are in.  ``j_x`` is as the problem gives it; :func:`_x_block` puts it in
+    x-chart coordinates.  The problem's ``tangent_blocks`` gives all six when it has one; otherwise
+    ``q`` is the identity and the ambient Jacobian is projected onto the problem's y and z charts."""
     if problem.tangent_blocks is None:
         j_x, j_y, j_z = problem.jacobian(x, y, z)
         cy, cz = problem.y_chart(x, y, z), problem.z_chart(x, y, z)
         return j_x, _project(problem, j_y, cy, "y"), _project(problem, j_z, cz, "z"), r, cy, cz
     *blocks, qr, cy, cz = problem.tangent_blocks(x, y, z, r)
     blocks = [as_matrix(m, f"tangent block ({label})") for m, label in zip(blocks, "xyz")]
-    rows = blocks[0].shape[0]
+    rows = problem.dims.dim_x  # q is the x-chart basis
     expected = [(rows, dim) for dim in problem.dims[:3]]
-    if [m.shape for m in blocks] != expected or rows > problem.dims.n_residual:
-        raise ValueError(f"tangent blocks have shapes {[m.shape for m in blocks]}, expected {expected} "
-                         f"with at most {problem.dims.n_residual} rows")
+    if [m.shape for m in blocks] != expected:
+        raise ValueError(f"tangent blocks have shapes {[m.shape for m in blocks]}, expected {expected}: "
+                         "their rows are coordinates in the x-chart basis")
     if (qr is None) != (r is None) or (qr is not None and np.shape(qr) != (rows,)):
         raise ValueError(f"tangent blocks return a residual of shape {np.shape(qr)} for {rows} rows")
     for chart, v, dim, label in ((cy, y, problem.dims.dim_y, "y"), (cz, z, problem.dims.dim_z, "z")):
@@ -333,6 +328,8 @@ def chart_blocks(problem: CrepProblem, x, y, z) -> JacobianBlocks:
     """Jacobian blocks at ``(x, y, z)`` in chart coordinates: the ambient Jacobians projected
     onto the charts, or the compressed rows of the problem's ``tangent_blocks``."""
     cx = problem.x_chart(x, y, z)
+    if problem.tangent_blocks is not None and cx.ambient_dim != problem.dims.n_residual:  # q is cx.basis
+        raise ValueError(f"tangent blocks need an x chart in the {problem.dims.n_residual} residual coordinates")
     j_x, j_y, j_z, _, cy, cz = _evaluate(problem, x, y, z)
     return JacobianBlocks(j_x=_x_block(problem, j_x, x, y, z, cx), j_y=j_y, j_z=j_z,
                           _x_basis=cx.basis, _y_basis=cy.basis, _z_basis=cz.basis)
@@ -412,8 +409,7 @@ def solution_map_derivative(blocks: JacobianBlocks) -> np.ndarray:
 
 
 def _yz_svd(blocks: JacobianBlocks, rtol: float | None) -> _Svd:
-    """The SVD of ``[j_y  j_z]`` (full ``vh`` when wide) cut at ``rtol``: the one that
-    certify_crep put on ``blocks`` (a sample's is the resolver's), else a new one."""
+    """The SVD of ``[j_y  j_z]`` (full ``vh`` when wide) cut at ``rtol``: the reference's, else a new one."""
     if blocks._yz is not None:
         return blocks._yz
     j_yz = np.hstack([blocks.j_y, blocks.j_z])
@@ -422,14 +418,14 @@ def _yz_svd(blocks: JacobianBlocks, rtol: float | None) -> _Svd:
 
 def _kernel_rows(kern: np.ndarray, rows: slice, rtol: float | None, known: dict | None = None) -> _Svd:
     """SVD of the ``rows`` of an orthonormal kernel basis, cut at ``rtol * 1``: their singular values are
-    cosines.  ``known`` (a certificate reference's ``_rows``) keeps each one, by row range, for the next caller."""
+    cosines.  ``known`` (a reference's ``_rows``) keeps each one, by row range, for the next caller."""
     key, known = rows.indices(len(kern))[:2], {} if known is None else known
     return known[key] if key in known else known.setdefault(key, _svd(kern[rows], rtol, scale=1.0))
 
 
 def _nearest_solution(p: np.ndarray, kern: np.ndarray, rows: slice, rtol: float | None, known: dict | None = None) -> tuple:
     """Of the solutions ``p + kern c`` (``kern`` an orthonormal kernel basis; ``p`` a vector or columns), the
-    one whose ``rows`` are smallest, as the kappa stage, the certificate's predictor and the resolver choose:
+    one whose ``rows`` are smallest, as the kappa stage, the empirical predictor and the resolver choose:
     those rows (``p``'s off the span of ``kern[rows]``) and ``c``, at the cut of :func:`_kernel_rows`."""
     g = _kernel_rows(kern, rows, rtol, known)
     b = g.u[:, : g.rank]
@@ -574,7 +570,7 @@ def _rank_checks(blocks: JacobianBlocks, rtol: float, groups: dict[str, slice], 
 
 def _reference_blocks(problem: CrepProblem, point: CrepPoint) -> JacobianBlocks:
     """:func:`evaluate_blocks` with the SVD of ``[j_y j_z]`` and a kernel-row memo (``_rows``), which the
-    rank checks, the min-norm ``DH`` and :func:`_predicted_starts` at the point then share."""
+    rank checks, the samplers and the min-norm ``DH`` at the point then share."""
     blocks = evaluate_blocks(problem, point)
     return replace(blocks, _yz=_yz_svd(blocks, problem.rtol), _rows={})
 
@@ -585,9 +581,30 @@ def _predicted_starts(problem: CrepProblem, point: CrepPoint, blocks: JacobianBl
     f, dim_y = _yz_svd(blocks, problem.rtol), problem.dims.dim_y
     kern, p = f.vh[f.rank :].T, _lstsq(f, -blocks.j_x @ steps.T)
     w, c = _nearest_solution(p, kern, slice(0, dim_y), problem.rtol, blocks._rows)
-    dz = (p[dim_y:] + kern[dim_y:] @ c).T
-    return [(problem.y_retract(point.y, blocks._y_basis @ w_i), problem.z_retract(point.z, blocks._z_basis @ dz_i))
-            for w_i, dz_i in zip(w.T, dz)]
+    return [_chart_move(problem, blocks, point.y, point.z, d) for d in np.vstack([w, p[dim_y:] + kern[dim_y:] @ c]).T]
+
+
+def _chart_move(problem: CrepProblem, blocks0: JacobianBlocks, y, z, d) -> tuple:
+    """``(y, z)`` moved by ``d`` (coordinates of ``[j_y j_z]``), retracted along ``blocks0``'s y and z charts."""
+    dim_y = problem.dims.dim_y
+    return problem.y_retract(y, blocks0._y_basis @ d[:dim_y]), problem.z_retract(z, blocks0._z_basis @ d[dim_y:])
+
+
+def _chord(problem: CrepProblem, blocks0: JacobianBlocks, x, y, z) -> tuple | None:
+    """A solution ``(y, z)`` at input ``x`` by the chord method (Kelley 1995, ch. 5) from ``(y, z)``: steps
+    ``d = -[j_y j_z]_0^+ q_0^T r`` on the reference's SVD (``q_0`` the reference x-chart basis with
+    ``tangent_blocks``, else the identity; see :class:`CrepProblem`) until ``||r|| <= 1e-12 * problem.scale``.
+    None after 8 steps, or once ``||r||`` is not finite or has not fallen."""
+    last = np.inf
+    for step in range(9):
+        norm = float(np.linalg.norm(r := problem.residual(x, y, z)))
+        if norm <= 1e-12 * problem.scale:
+            return y, z
+        if step == 8 or not norm < last:
+            return None
+        last = norm
+        y, z = _chart_move(problem, blocks0, y, z, -_lstsq(blocks0._yz, r if problem.tangent_blocks is None
+                                                             else blocks0._x_basis.T @ r))
 
 
 def certify_crep(
@@ -600,15 +617,15 @@ def certify_crep(
 ) -> RankCertificate:
     """Certify the constant-rank hypotheses at ``point`` and nearby solutions.
 
-    Nearby solutions are produced by moving the input ``1e-4 * problem.scale`` along a seeded
-    random unit direction of its tangent chart, retracting, and re-solving for ``(y, z)`` with the
-    constrained resolver, started at the first-order prediction (:func:`_predicted_starts`, from the
-    reference's SVD of ``[j_y j_z]``), one evaluation sooner than from ``(y0, z0)``: its convergence
-    test is unchanged.  The certificate fails if any rank check fails, if the ranks vary across
-    samples, or if no perturbed sample could be re-solved.  Re-solve failures are counted and the
-    sample is skipped.  Every rank cut, the resolver's included, is taken at ``problem.rtol``.
-    A point's ranks come from its one SVD of ``[j_y j_z]`` (:func:`_rank_checks`); the
-    reference adds one SVD of DF, which sets the absolute ``tolerance``.
+    Each sample moves the input ``1e-4 * problem.scale`` along a seeded random unit direction of its
+    tangent chart and retracts.  Any solution there will do: it starts at the minimum-norm first-order
+    prediction ``[j_y j_z]^+ (-j_x step)`` (Allgower & Georg 2003) and takes chord steps (:func:`_chord`),
+    both on the reference's SVD and charts; a chord that stops short is re-solved once from that start
+    (:func:`crepcond.empirical.constrained_nearest_solution`).  The sample's ranks come from one
+    evaluation there and its SVD of ``[j_y j_z]`` (:func:`_rank_checks`); the reference adds one SVD of
+    DF, which sets the absolute ``tolerance``.  The certificate fails if a rank check fails, if the ranks
+    vary across samples, or if no sample could be re-solved; a re-solve failure is counted and its
+    sample skipped.  Every rank cut is taken at ``problem.rtol``.
 
     ``groups`` maps labels to column ranges ``slice(start, stop)`` of
     ``[j_y j_z]``; for each, the rank ``k`` of ``[j_y j_z]`` without those
@@ -626,7 +643,7 @@ def certify_crep(
                            for c in groups.values()):
         raise ValueError(f"groups must be nonempty ranges slice(start, stop) of the {n_cols} columns of [y z], got {groups}")
 
-    blocks0 = _reference_blocks(problem, point)  # its SVDs are shared with the predictor and the kappa stage
+    blocks0 = _reference_blocks(problem, point)  # its SVDs are shared with the sampler and the kappa stage
     if (sink := _REFERENCE_BLOCKS.get()) is not None:
         sink.append(blocks0)
     r0, k0, rank_df0, tolerance_abs, min_gap, messages = _rank_checks(blocks0, rtol, groups)
@@ -635,16 +652,20 @@ def certify_crep(
 
     samples_checked = resolve_failures = 0
     steps = np.array([radius * _unit_direction(seed, i, dims.dim_x) for i in range(n_samples)]).reshape(n_samples, dims.dim_x)
-    for i, start in enumerate(_predicted_starts(problem, point, blocks0, steps)):
-        x_pert = problem.x_retract(point.x, blocks0._x_basis @ steps[i])
-        result = empirical.constrained_nearest_solution(problem, point, x_pert, start=start)
-        if not result.converged:
-            resolve_failures += 1
-            messages.append(f"sample {i}: re-solve failed ({result.message})")
-            continue
-        j_x, j_y, j_z, f_yz, rows = result._evaluation  # the resolver's last evaluation
-        blocks_i = JacobianBlocks(_x_block(problem, j_x, x_pert, result.y, result.z), j_y, j_z, _yz=f_yz, _rows=rows)
-        r_i, k_i, _, _, gap_i, problems_i = _rank_checks(blocks_i, rtol, groups, tolerance_abs)
+    for i, (step, d) in enumerate(zip(steps, _lstsq(blocks0._yz, -blocks0.j_x @ steps.T).T)):
+        x_i = problem.x_retract(point.x, blocks0._x_basis @ step)
+        start = _chart_move(problem, blocks0, point.y, point.z, d)
+        sample = _chord(problem, blocks0, x_i, *start)
+        if sample is None:  # the chord stopped short: the resolver, from the same start
+            result = empirical.constrained_nearest_solution(problem, point, x_i, start=start)
+            if not result.converged:
+                resolve_failures += 1
+                messages.append(f"sample {i}: re-solve failed (chord did not converge; resolver: {result.message})")
+                continue
+            sample = result.y, result.z
+        j_x, j_y, j_z = _evaluate(problem, x_i, *sample)[:3]
+        r_i, k_i, _, _, gap_i, problems_i = _rank_checks(JacobianBlocks(_x_block(problem, j_x, x_i, *sample), j_y, j_z),
+                                                          rtol, groups, tolerance_abs)
         min_gap = min(min_gap, gap_i)
         samples_checked += 1
         messages += [f"sample {i}: {msg}" for msg in problems_i]
@@ -727,9 +748,7 @@ def condition_numbers(
     if blocks is None:
         return ConditionReport(kappa_y=None, kappa_z=None, kappa_yz=None, dh=None, certificate=certificate)
     kappa_y, kappa_z, kappa_yz, dh = condition_numbers_from_blocks(blocks, problem.rtol)
-    return ConditionReport(
-        kappa_y=kappa_y, kappa_z=kappa_z, kappa_yz=kappa_yz, dh=dh, certificate=certificate
-    )
+    return ConditionReport(kappa_y=kappa_y, kappa_z=kappa_z, kappa_yz=kappa_yz, dh=dh, certificate=certificate)
 
 
 @dataclass(frozen=True)

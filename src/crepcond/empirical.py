@@ -25,7 +25,7 @@ evaluation order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,10 +59,6 @@ class ResolveResult:
     iterations: int
     converged: bool
     message: str = ""
-    # Private: (j_x, j_y, j_z, SVD of [j_y j_z], SVDs of its kernel rows by row range) at (y, z), the blocks as
-    # crep._evaluate returns them (crep._x_block puts j_x in x-chart coordinates); certify_crep takes every rank
-    # of a sample from them.
-    _evaluation: tuple | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -86,22 +82,16 @@ def constrained_nearest_solution(
 ) -> ResolveResult:
     """Feasible ``(y, z)`` for input ``x_pert`` locally minimising ``||y - y0||``.
 
-    Each iteration evaluates the blocks and charts once at the current ``(y, z)``, the
-    first at ``start`` (ambient; default ``(y0, z0)``), and takes a Newton step with the
-    Moore-Penrose inverse cut at ``problem.rtol``, chosen as the kappa stage
-    chooses ``DH``: of the least-squares solutions of ``j_y dy + j_z dz = -r``
-    (coordinates of the y and z charts that evaluation returns, ``r`` the
-    residual), the one with the smallest new output error ``e + dy``.  With
-    the problem's ``tangent_blocks`` the blocks and charts come from that one
-    call and the system is solved in its compressed residual coordinates,
-    which have the same least-squares solutions.  One backtracking rule on
-    the (ambient) residual sets the step length.
-    The result is converged once the residual is at most ``solver_tol =
-    1e-12 * problem.scale`` and ``||dy||``, at a feasible point
-    the first-order optimality residual, at most ``10 * solver_tol``.  Ending
-    farther than ``z_trust`` (default ``0.5 * max(1, ||z0||)``) from ``z0``
-    marks the result as not converged.  ``max_iter`` bounds the Newton steps,
-    so ``iterations`` (evaluations) is at most ``max_iter + 1``.
+    Each iteration evaluates the blocks and charts once at the current ``(y, z)``, the first at
+    ``start`` (ambient; default ``(y0, z0)``), and takes a Newton step with the Moore-Penrose inverse
+    cut at ``problem.rtol``, chosen as the kappa stage chooses ``DH``: of the least-squares solutions
+    of ``j_y dy + j_z dz = -r`` (``r`` the residual, all in the coordinates that evaluation returns,
+    see :class:`crepcond.crep.CrepProblem`), the one with the smallest new output error ``e + dy``.
+    One backtracking rule on the (ambient) residual sets the step length.  The result is converged
+    once the residual is at most ``solver_tol = 1e-12 * problem.scale`` and ``||dy||``, at a feasible
+    point the first-order optimality residual, at most ``10 * solver_tol``.  Ending farther than
+    ``z_trust`` (default ``0.5 * max(1, ||z0||)``) from ``z0`` marks the result as not converged.
+    ``max_iter`` bounds the Newton steps, so ``iterations`` (evaluations) is at most ``max_iter + 1``.
     """
     x = np.asarray(x_pert, dtype=float).ravel()
     solver_tol = 1e-12 * problem.scale
@@ -111,23 +101,20 @@ def constrained_nearest_solution(
     y, z = (np.array(v, dtype=float) for v in ((point.y, point.z) if start is None else start))
     r = problem.residual(x, y, z)
     current = float(np.linalg.norm(r))
-    evaluation = None
     message = "residual is not finite"
     iterations = 0
     # The line search accepts only finite residuals, so this tests the start.
     while math.isfinite(current):
         iterations += 1
-        j_x, j_y, j_z, qr, cy, cz = _evaluate(problem, x, y, z, r)
+        _, j_y, j_z, qr, cy, cz = _evaluate(problem, x, y, z, r)
         j_yz = np.hstack([j_y, j_z])
         f = _svd(j_yz, rtol, full=j_yz.shape[0] < j_yz.shape[1])
-        rows = {}  # the kernel-row SVD _nearest_solution takes, kept for certify_crep's rank checks
-        evaluation = (j_x, j_y, j_z, f, rows)
         # Every least-squares solution of [j_y j_z](w, dz) = j_y e - r is
         # p + K c, K the kernel; c minimises the new output error |w| = |e + dy|.
         e = cy.basis.T @ (y - point.y)
         p = _lstsq(f, j_y @ e - qr)
         kern = f.vh[f.rank :].T
-        w, c = _nearest_solution(p, kern, slice(0, dim_y), rtol, rows)
+        w, c = _nearest_solution(p, kern, slice(0, dim_y), rtol)
         dy = w - e
         dz = p[dim_y:] + kern[dim_y:] @ c
         if current <= solver_tol and float(np.linalg.norm(dy)) <= 10.0 * solver_tol:
@@ -152,10 +139,7 @@ def constrained_nearest_solution(
         else:
             message = "line search stalled"
             break
-    return ResolveResult(
-        y=y, z=z, residual_norm=current, iterations=iterations, converged=not message, message=message,
-        _evaluation=evaluation,
-    )
+    return ResolveResult(y=y, z=z, residual_norm=current, iterations=iterations, converged=not message, message=message)
 
 
 def _resolve_from_prediction(problem: CrepProblem, point: CrepPoint, x, start: tuple) -> ResolveResult:
@@ -163,12 +147,10 @@ def _resolve_from_prediction(problem: CrepProblem, point: CrepPoint, x, start: t
     kept if it converged and its correction is second order: ``||y - y_pred|| <= 0.1 * ||y_pred - y0|| +
     1e-12 * problem.scale``.  Otherwise the re-solve from ``(y0, z0)``.
 
-    Near the point the prediction misses the solution by O(radius**2) (0.13 to 2 * radius**2 / scale on
-    the built-in problems) while it moves y by O(radius), so the bound holds at every radius where ``DH``
-    describes the solution map; a larger correction means the first-order model fails there, as on polar
-    at radius 1, where the prediction converges to the other branch of the solution set.  The absolute
-    slack is the resolver's own tolerance, so a sample with ``y_pred = y0`` (``kappa_y = 0``) is kept
-    when its solution is ``y0``.
+    Near the point the prediction misses the solution by O(radius**2) (0.13 to 2 * radius**2 / scale on the
+    built-in problems) while it moves y by O(radius); a larger correction means the first-order model fails,
+    as on polar at radius 1, where the prediction converges to the other branch of the solution set.  The
+    absolute slack is the resolver's tolerance, so ``y_pred = y0`` (``kappa_y = 0``) is kept at ``y0``.
     """
     res = constrained_nearest_solution(problem, point, x, start=start)
     y_pred = start[0]
@@ -228,11 +210,10 @@ def empirical_condition(
     deterministic extra sample, so the estimate brackets the condition
     number from below at first order.  The reported ratio uses the actual
     ambient input distance after retraction.  Each sample is re-solved from
-    its first-order prediction, kept only while the correction is second
-    order (at most a tenth of the predicted move, plus the resolver's
-    tolerance), and otherwise from ``(y0, z0)`` (:func:`_resolve_from_prediction`):
-    past the certificate's radius, as on polar at radius 1, a prediction can
-    converge to another branch or stall at the pole ``y = 0``.
+    its first-order prediction while the correction is second order, else
+    from ``(y0, z0)`` (:func:`_resolve_from_prediction`): past the
+    certificate's radius a prediction can reach another branch of the
+    solution set, as on polar at radius 1, or stall at its pole ``y = 0``.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")

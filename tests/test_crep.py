@@ -85,23 +85,42 @@ def test_non_finite_residual_is_not_feasible():
         evaluate_blocks(problem, bad)
 
 
+def _flat_chart(dim):
+    return lambda x, y, z: TangentChart.full(dim)
+
+
+def _input_in_residual_space():
+    """F = x - (y, z): the input lives in the residual space, as the x chart of a tangent_blocks hook must."""
+    problem = CrepProblem(
+        name="x-minus-yz", dims=CrepDims(2, 1, 1, 2), residual=lambda x, y, z: x - np.concatenate([y, z]),
+        jacobian=lambda x, y, z: (None, -np.eye(2)[:, :1], -np.eye(2)[:, 1:]),
+        x_chart=_flat_chart(2), y_chart=_flat_chart(1), z_chart=_flat_chart(1),
+    )
+    return problem, make_crep_point(problem, [1.0, 2.0], [1.0], [2.0])
+
+
 def test_tangent_blocks_output_is_checked():
-    problem, point = polar_problem(0.0)
+    problem, point = _input_in_residual_space()
     flat = TangentChart.full(1)
 
     def hook(shapes, cy=flat, cz=flat):
         return lambda x, y, z, r: (*(np.ones(shape) for shape in shapes), None if r is None else np.ones(2), cy, cz)
 
-    good = dataclasses.replace(problem, tangent_blocks=hook([(2, 1)] * 3))
-    assert evaluate_blocks(good, point).j_x.shape == (2, 1)
-    for shapes in ([(2, 1), (2, 1), (2, 2)], [(3, 1)] * 3, [(2, 1), (1, 1), (2, 1)]):
+    good = dataclasses.replace(problem, tangent_blocks=hook([(2, 2), (2, 1), (2, 1)]))
+    assert evaluate_blocks(good, point).j_x.shape == (2, 2)
+    # A block of the wrong width, or rows other than the dim_x = 2 coordinates of the x-chart basis q.
+    for shapes in ([(2, 2), (2, 1), (2, 2)], [(3, 2), (3, 1), (3, 1)], [(1, 2), (1, 1), (1, 1)], [(2, 2), (1, 1), (2, 1)]):
         with pytest.raises(ValueError, match="tangent blocks"):
             evaluate_blocks(dataclasses.replace(problem, tangent_blocks=hook(shapes)), point)
     # Charts of the wrong dimension or ambient size, or no chart at all, for y and for z.
     for chart in (TangentChart(1, np.zeros((1, 0))), TangentChart(2, np.eye(2)[:, :1]), np.eye(1)):
         for charts in ((chart, flat), (flat, chart)):
             with pytest.raises(ValueError, match="tangent blocks"):
-                evaluate_blocks(dataclasses.replace(problem, tangent_blocks=hook([(2, 1)] * 3, *charts)), point)
+                evaluate_blocks(dataclasses.replace(problem, tangent_blocks=hook([(2, 2), (2, 1), (2, 1)], *charts)), point)
+    # The polar x chart has 1 ambient coordinate for 2 residuals, so it cannot be the residual basis q.
+    polar, polar_point = polar_problem(0.0)
+    with pytest.raises(ValueError, match="tangent blocks need an x chart"):
+        evaluate_blocks(dataclasses.replace(polar, tangent_blocks=hook([(1, 1)] * 3)), polar_point)
 
     def nan_hook(x, y, z, r):
         return (np.full((2, 1), np.nan),) * 3 + (r, flat, flat)
@@ -330,8 +349,8 @@ def test_certify_rejects_rank_drop_at_origin():
 
 def test_certify_reports_a_sample_whose_full_jacobian_gains_rank():
     # F = (y - x1, 0) with a declared dF/dx of [[-1, 0], [0, x2]]: rank DF is 1 at the point
-    # (x2 = 0) and 2 at every sample, while rank [j_y j_z] stays 1.  The resolver never reads
-    # dF/dx, so each sample re-solves and only the DF check fails.
+    # (x2 = 0) and 2 at every sample, while rank [j_y j_z] stays 1.  The sampler reads dF/dx only
+    # at the reference, so each sample is reached and only the DF check fails.
     def residual(x, y, z):
         return np.array([y[0] - x[0], 0.0])
 
@@ -352,19 +371,14 @@ def test_certify_reports_a_sample_whose_full_jacobian_gains_rank():
 
 
 @pytest.mark.parametrize("scale", [None, 3.0])
-def test_certificate_samples_lie_1e_4_scale_from_the_point(scale, monkeypatch):
+def test_certificate_samples_lie_1e_4_scale_from_the_point(scale):
     problem, point = polar_problem(0.0)
     if scale is not None:
         problem = dataclasses.replace(problem, scale=scale)
-    inputs = []
-    resolve = empirical.constrained_nearest_solution
-
-    def recording(problem, point, x_pert, **kwargs):
-        inputs.append(x_pert)
-        return resolve(problem, point, x_pert, **kwargs)
-
-    monkeypatch.setattr(empirical, "constrained_nearest_solution", recording)
+    inputs, retract = [], problem.x_retract
+    problem.x_retract = lambda x, dx: inputs.append(retract(x, dx)) or inputs[-1]
     assert certify_crep(problem, point, n_samples=3).samples_checked == 3
+    assert len(inputs) == 3
     basis = evaluate_blocks(problem, point)._x_basis
     distances = [float(np.linalg.norm(basis.T @ (x - point.x))) for x in inputs]
     assert distances == pytest.approx([1e-4 * problem.scale] * 3, rel=1e-12)
@@ -495,7 +509,7 @@ def _count_calls(problem, names=("jacobian", "x_chart", "y_chart", "z_chart")):
 @pytest.mark.parametrize("case", ["polar", "tucker", "tucker_ambient"])
 def test_condition_numbers_evaluates_each_point_once(case):
     """The kappa stage reuses the certificate's evaluation of the reference
-    point, and each sample check reuses the resolver's last evaluation; with
+    point, and each sample takes one evaluation, where its chord steps end; with
     tangent_blocks that evaluation holds j_x, so samples build no input chart."""
     if case == "polar":
         problem, point = polar_problem(0.0)
@@ -519,7 +533,7 @@ def test_condition_numbers_evaluates_each_point_once(case):
     report = condition_numbers(problem, point, n_samples=2)
     assert report.certificate.passed and report.certificate.samples_checked == 2
     assert counts["x_chart"] == 1 + (0 if hook else report.certificate.samples_checked)
-    if hook:  # the resolver steps along the charts the tangent blocks return
+    if hook:  # the chord steps along the reference charts, which the tangent blocks returned
         assert counts["y_chart"] == counts["z_chart"] == 0
 
 
@@ -649,7 +663,7 @@ def _certified_rank_cases():
 
 
 def test_certificate_ranks_equal_the_direct_ranks(monkeypatch):
-    """At the reference and at each resolver sample, every group's rank (from the kernel rows of
+    """At the reference and at each certificate sample, every group's rank (from the kernel rows of
     [j_y j_z]) and rank DF (from j_x off its range) equal numerical_rank of the matrices themselves."""
     checked = []
     rank_checks = crep._rank_checks
@@ -766,7 +780,8 @@ def test_certified_point_takes_each_kernel_row_svd_once(monkeypatch):
 
 
 def test_cross_validate_takes_each_kernel_row_svd_once(monkeypatch):
-    """Each certificate sample's rank checks reuse the kernel-row SVD of the resolver's last evaluation."""
+    """Each group's kernel-row SVD is taken once per point: 4 at the reference, which the kappa stage
+    shares, and 4 at each of the 2 certificate samples."""
     rows = []
 
     def counting(m, *args, _real=crep._svd, **kwargs):
@@ -776,34 +791,102 @@ def test_cross_validate_takes_each_kernel_row_svd_once(monkeypatch):
 
     monkeypatch.setattr(crep, "_svd", counting)
     cross_validate(random_tucker_point((8, 8, 8), (3, 3, 3), 0))
-    assert len(rows) == len(set(rows)) == 14
+    assert len(rows) == len(set(rows)) == 12
 
 
-def test_certificate_evaluates_each_sample_twice():
-    """Each re-solve starts at the first-order prediction and ends after two evaluations of the
-    Tucker hook (three from (y0, z0)): five in all with the reference's one."""
+def test_certificate_evaluates_each_sample_once():
+    """Each sample's chord steps run on the reference's factorization, so the Tucker hook is evaluated
+    once per sample, at the solution they reach: three times in all with the reference."""
     point = random_tucker_point((8, 8, 8), (3, 3, 3), 0)
     problem, pt = build_tucker_crep(TuckerCrepConfig(point, "core"))
     counts = _count_calls(problem, ("tangent_blocks",))
     cert = certify_crep(problem, pt, n_samples=2, groups=_tucker_groups(point, problem))
     assert cert.passed and cert.samples_checked == 2
-    assert counts == {"tangent_blocks": 5}
+    assert counts == {"tangent_blocks": 3}
 
 
 def test_linear_certificate_samples_take_one_evaluation(monkeypatch):
-    """On a linear problem the first-order prediction is the solution, so its first evaluation converges."""
-    results = []
-    resolve = empirical.constrained_nearest_solution
-
-    def recording(*args, **kwargs):
-        results.append(resolve(*args, **kwargs))
-        return results[-1]
-
-    monkeypatch.setattr(empirical, "constrained_nearest_solution", recording)
+    """On a linear problem the min-norm prediction is a solution: each sample takes no chord step (its one
+    residual, at the prediction, converges), one evaluation and no resolver call."""
+    resolves = []
+    monkeypatch.setattr(empirical, "constrained_nearest_solution", lambda *args, **kwargs: resolves.append(args))
     for i in range(20):
         b = random_linearized_blocks((9, i))
-        assert certify_crep(*linearized_problem(b.j_x, b.j_y, b.j_z), n_samples=2, seed=i).samples_checked == 2
-    assert [r.iterations for r in results] == [1] * 40
+        problem, point = linearized_problem(b.j_x, b.j_y, b.j_z)
+        counts = _count_calls(problem, ("jacobian", "residual"))
+        assert certify_crep(problem, point, n_samples=2, seed=i).samples_checked == 2
+        assert counts == {"jacobian": 1 + 2, "residual": 1 + 2}  # the reference's, then one per sample
+    assert resolves == []
+
+
+def test_certificate_samples_need_no_trust_region_for_a_small_latent_block():
+    """With j_z scaled by a, z moves by about radius / a; the chord takes no trust rule on z, so every
+    certificate passes, with the kappa_y of a = 1 while the rank cuts leave [j_y j_z] alone."""
+    for i in range(40):
+        b = random_linearized_blocks((0, i))
+        reports = {a: condition_numbers(*linearized_problem(b.j_x, b.j_y, a * b.j_z), n_samples=2, seed=i)
+                   for a in (1.0, 1e-3, 1e-6, 1e-10)}
+        assert all(r.certificate.passed for r in reports.values())
+        kappa = reports[1.0].kappa_y
+        for a in (1e-3, 1e-6):
+            assert abs(reports[a].kappa_y - kappa) <= 1e-8 * max(1.0, kappa)
+
+
+def test_certificate_falls_back_to_the_resolver_when_the_chord_misses_its_budget(monkeypatch):
+    """polar(0.5) at scale 1e3 samples at radius 0.1: no chord converges in 8 steps, and the resolver
+    from the same start re-solves every sample.  At scale 5e3 (radius 0.5) a sample lands on the pole
+    x = 1 or predicts y = 0, where neither converges, and the certificate fails."""
+    chords, resolves = [], []
+    chord, resolve = crep._chord, empirical.constrained_nearest_solution
+    monkeypatch.setattr(crep, "_chord", lambda *args: chords.append(chord(*args)) or chords[-1])
+    monkeypatch.setattr(empirical, "constrained_nearest_solution",
+                        lambda *args, **kwargs: resolves.append(resolve(*args, **kwargs)) or resolves[-1])
+    problem, point = polar_problem(0.5)
+    cert = certify_crep(dataclasses.replace(problem, scale=1e3), point, n_samples=4)
+    assert chords == [None] * 4 and [r.converged for r in resolves] == [True] * 4
+    assert cert.passed and cert.samples_checked == 4
+    chords.clear()
+    resolves.clear()
+    cert = certify_crep(dataclasses.replace(problem, scale=5e3), point, n_samples=4)
+    assert chords == [None] * 4 and not any(r.converged for r in resolves)
+    assert not cert.passed and (cert.samples_checked, cert.resolve_failures) == (0, 4)
+    assert all(m.startswith(f"sample {i}: re-solve failed (chord did not converge; resolver: ")
+               for i, m in enumerate(cert.messages[:4]))
+
+
+def test_a_chord_that_does_not_converge_is_never_a_sample():
+    """F = (y - x, h(x)), with h = 1e-3 away from x = 0 and a Jacobian that does not see it.  Every sample has
+    the reference's ranks, but no solution: the chord cannot lower the residual and the resolver stalls, so
+    the certificate fails rather than read the ranks at a point that is not one."""
+    problem = CrepProblem(
+        name="hidden-offset", dims=CrepDims(1, 1, 0, 2),
+        residual=lambda x, y, z: np.array([y[0] - x[0], 0.0 if x[0] == 0.0 else 1e-3]),
+        jacobian=lambda x, y, z: (np.array([[-1.0], [0.0]]), np.array([[1.0], [0.0]]), np.zeros((2, 0))),
+        x_chart=_flat_chart(1), y_chart=_flat_chart(1), z_chart=_flat_chart(0),
+    )
+    cert = certify_crep(problem, make_crep_point(problem, [0.0], [0.0], []), n_samples=3)
+    assert not cert.passed and (cert.samples_checked, cert.resolve_failures) == (0, 3)
+    assert cert.messages[-1] == "no perturbed sample could be re-solved; constancy not verifiable"
+
+
+def test_a_diverging_chord_stops_at_its_first_growing_residual():
+    """F = y**3 + y - x at radius 2: the chord on the reference slope 1 maps y to x - y**3, which would pass
+    1e189 and overflow within its 8 steps.  It stops once the residual grows (y = 2, then -6), and the
+    resolver from the prediction reaches y = 1 at x = 2 (y = -1 at x = -2)."""
+    evaluated = []
+
+    def residual(x, y, z):
+        evaluated.append(abs(y[0]))
+        return np.array([y[0] ** 3 + y[0] - x[0]])
+
+    problem = CrepProblem(
+        name="cubic", dims=CrepDims(1, 1, 0, 1), residual=residual,
+        jacobian=lambda x, y, z: (np.array([[-1.0]]), np.array([[3.0 * y[0] ** 2 + 1.0]]), np.zeros((1, 0))),
+        x_chart=_flat_chart(1), y_chart=_flat_chart(1), z_chart=_flat_chart(0), scale=2e4,
+    )
+    cert = certify_crep(problem, make_crep_point(problem, [0.0], [0.0], []), n_samples=2)
+    assert cert.passed and cert.samples_checked == 2
+    assert max(evaluated) == pytest.approx(6.0)
 
 
 PREDICTOR_CASES = {
@@ -816,7 +899,7 @@ PREDICTOR_CASES = {
 
 @pytest.mark.parametrize("case", sorted(PREDICTOR_CASES))
 def test_predicted_start_reaches_the_same_solution_and_misses_it_at_second_order(case):
-    """From the certificate's prediction the resolver converges to the y it reaches from (y0, z0), within
+    """From the empirical routines' prediction the resolver converges to the y it reaches from (y0, z0), within
     1e-9 * radius, and the prediction misses that y by O(radius**2): miss * scale / radius**2 is at most 10
     and the same, within 10%, at radius 1e-4 * scale (the certificate's) and 1e-3 * scale."""
     problem, point = PREDICTOR_CASES[case]()

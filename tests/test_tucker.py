@@ -305,6 +305,17 @@ def test_core_output_near_degenerate_gap_pipeline_vs_minnorm():
     assert spectral_norm(dh) == pytest.approx(1.0, rel=1e-8)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_near_equal_core_point_is_certified(seed):
+    # The nearest-y solution at a sample rotates z by about 3.8 along a kernel direction whose output
+    # part is ~1e-8; the certificate's chord samples need no such move, so the point gets its kappa.
+    point = diag_core_point(sigmas=(1.0, 1.0 - 1e-8), seed=90)
+    problem, pt = build_tucker_crep(TuckerCrepConfig(point, "core"))
+    report = condition_numbers(problem, pt, n_samples=4, seed=seed)
+    assert report.certificate.passed and report.certificate.samples_checked == 4
+    assert report.kappa_y == pytest.approx(1.0, abs=1e-8)
+
+
 def test_elimination_conditioning_guard_fires_in_every_residual_basis():
     # The stacked elimination system [P j_y; u_y.T] has rows + nullity rows.  On
     # the tangent blocks it is square once P has projected out the latent span,
