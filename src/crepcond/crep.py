@@ -35,7 +35,6 @@ defaults to orthonormal but whose choice provably does not affect ``DH``.
 
 from __future__ import annotations
 
-from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -80,10 +79,6 @@ __all__ = [
     "solution_map_derivative",
     "solution_map_derivative_minnorm",
 ]
-
-# Collects the reference blocks of the certify_crep call _certified_blocks makes.
-_REFERENCE_BLOCKS: ContextVar[list | None] = ContextVar("_REFERENCE_BLOCKS", default=None)
-
 
 class RankHypothesisError(ValueError):
     """A constant-rank hypothesis required by the computation is violated."""
@@ -614,6 +609,7 @@ def certify_crep(
     n_samples: int = 4,
     seed: int = 0,
     groups: dict[str, slice] | None = None,
+    _reference: JacobianBlocks | None = None,
 ) -> RankCertificate:
     """Certify the constant-rank hypotheses at ``point`` and nearby solutions.
 
@@ -632,6 +628,9 @@ def certify_crep(
     columns must not change, and a message for a change names the group.
     The certificate records the first group's ``k``.  None is the one group
     ``y``, whose ``k`` is the rank of ``j_z``.
+
+    ``_reference`` (private) is :func:`_reference_blocks` at ``point`` when the caller has already
+    evaluated it, as the kappa stage of :func:`condition_numbers` does to reuse it; None evaluates it here.
     """
     if n_samples < 0:
         raise ValueError("n_samples must be nonnegative")
@@ -643,9 +642,7 @@ def certify_crep(
                            for c in groups.values()):
         raise ValueError(f"groups must be nonempty ranges slice(start, stop) of the {n_cols} columns of [y z], got {groups}")
 
-    blocks0 = _reference_blocks(problem, point)  # its SVDs are shared with the sampler and the kappa stage
-    if (sink := _REFERENCE_BLOCKS.get()) is not None:
-        sink.append(blocks0)
+    blocks0 = _reference_blocks(problem, point) if _reference is None else _reference
     r0, k0, rank_df0, tolerance_abs, min_gap, messages = _rank_checks(blocks0, rtol, groups)
 
     from . import empirical  # deferred: empirical builds on this module
@@ -719,17 +716,6 @@ def condition_numbers_from_blocks(
     return spectral_norm(dhs["y"]), spectral_norm(dhs["z"]), spectral_norm(dh_yz), dhs["y"]
 
 
-def _certified_blocks(problem, point, groups, n_samples, seed) -> tuple[RankCertificate, JacobianBlocks | None]:
-    """:func:`certify_crep`'s certificate and, if it passed, the reference blocks it evaluated."""
-    evaluated: list[JacobianBlocks] = []
-    token = _REFERENCE_BLOCKS.set(evaluated)
-    try:
-        certificate = certify_crep(problem, point, n_samples=n_samples, seed=seed, groups=groups)
-    finally:
-        _REFERENCE_BLOCKS.reset(token)
-    return certificate, evaluated[0] if certificate.passed else None
-
-
 def condition_numbers(
     problem: CrepProblem,
     point: CrepPoint,
@@ -744,8 +730,9 @@ def condition_numbers(
     carries the failed certificate and ``None`` condition numbers instead of
     numeric sentinels.
     """
-    certificate, blocks = _certified_blocks(problem, point, None, n_samples, seed)
-    if blocks is None:
+    blocks = _reference_blocks(problem, point)
+    certificate = certify_crep(problem, point, n_samples=n_samples, seed=seed, _reference=blocks)
+    if not certificate.passed:
         return ConditionReport(kappa_y=None, kappa_z=None, kappa_yz=None, dh=None, certificate=certificate)
     kappa_y, kappa_z, kappa_yz, dh = condition_numbers_from_blocks(blocks, problem.rtol)
     return ConditionReport(kappa_y=kappa_y, kappa_z=kappa_z, kappa_yz=kappa_yz, dh=dh, certificate=certificate)
@@ -767,8 +754,9 @@ def group_condition_numbers(
     """Certify ``point`` once for every group, sampling at ``1e-4 * problem.scale`` (:func:`certify_crep`),
     and compute each group's condition number.  Solving for one group with the rest latent only permutes
     the columns of ``[j_y j_z]``, so one minimum-norm solve and kernel give every group's ``DH``."""
-    certificate, blocks = _certified_blocks(problem, point, groups, n_samples, seed)
-    if blocks is None:
+    blocks = _reference_blocks(problem, point)
+    certificate = certify_crep(problem, point, n_samples=n_samples, seed=seed, groups=groups, _reference=blocks)
+    if not certificate.passed:
         return GroupConditionReport(None, None, certificate)
     dhs, dh_all = _minnorm_derivatives(blocks, problem.rtol, groups)
     return GroupConditionReport({label: spectral_norm(dh) for label, dh in dhs.items()}, spectral_norm(dh_all), certificate)

@@ -51,7 +51,9 @@ class ResolveFailure(RuntimeError):
 @dataclass(frozen=True)
 class ResolveResult:
     """Outcome of re-solving the system for a perturbed input; ``iterations`` counts
-    evaluations of the Jacobian blocks: one at the start and one after each Newton step."""
+    evaluations of the Jacobian blocks: one at the start and one after each Newton step.
+    ``message`` is empty when converged, else "residual is not finite", "iteration budget
+    exhausted" or "line search stalled"."""
 
     y: np.ndarray
     z: np.ndarray
@@ -77,7 +79,6 @@ def constrained_nearest_solution(
     point: CrepPoint,
     x_pert,
     max_iter: int = 100,
-    z_trust: float | None = None,
     *, start: tuple | None = None,
 ) -> ResolveResult:
     """Feasible ``(y, z)`` for input ``x_pert`` locally minimising ``||y - y0||``.
@@ -89,14 +90,13 @@ def constrained_nearest_solution(
     see :class:`crepcond.crep.CrepProblem`), the one with the smallest new output error ``e + dy``.
     One backtracking rule on the (ambient) residual sets the step length.  The result is converged
     once the residual is at most ``solver_tol = 1e-12 * problem.scale`` and ``||dy||``, at a feasible
-    point the first-order optimality residual, at most ``10 * solver_tol``.  Ending farther than
-    ``z_trust`` (default ``0.5 * max(1, ||z0||)``) from ``z0`` marks the result as not converged.
+    point the first-order optimality residual, at most ``10 * solver_tol``, wherever ``z`` ends.
     ``max_iter`` bounds the Newton steps, so ``iterations`` (evaluations) is at most ``max_iter + 1``.
+    A result that is not converged says why: "residual is not finite" (at the start), "iteration
+    budget exhausted" or "line search stalled".
     """
     x = np.asarray(x_pert, dtype=float).ravel()
     solver_tol = 1e-12 * problem.scale
-    if z_trust is None:
-        z_trust = 0.5 * max(1.0, float(np.linalg.norm(point.z)))
     dim_y, rtol = problem.dims.dim_y, problem.rtol
     y, z = (np.array(v, dtype=float) for v in ((point.y, point.z) if start is None else start))
     r = problem.residual(x, y, z)
@@ -118,8 +118,7 @@ def constrained_nearest_solution(
         dy = w - e
         dz = p[dim_y:] + kern[dim_y:] @ c
         if current <= solver_tol and float(np.linalg.norm(dy)) <= 10.0 * solver_tol:
-            trusted = float(np.linalg.norm(z - point.z)) <= z_trust
-            message = "" if trusted else "latent variable left the trust region"
+            message = ""
             break
         if iterations > max_iter:
             message = "iteration budget exhausted"
@@ -142,22 +141,25 @@ def constrained_nearest_solution(
     return ResolveResult(y=y, z=z, residual_norm=current, iterations=iterations, converged=not message, message=message)
 
 
-def _resolve_from_prediction(problem: CrepProblem, point: CrepPoint, x, start: tuple) -> ResolveResult:
-    """The re-solve at input ``x`` from the first-order prediction ``start`` (:func:`crep._predicted_starts`),
-    kept if it converged and its correction is second order: ``||y - y_pred|| <= 0.1 * ||y_pred - y0|| +
-    1e-12 * problem.scale``.  Otherwise the re-solve from ``(y0, z0)``.
+def _resolves(problem: CrepProblem, point: CrepPoint, blocks, moves: np.ndarray):
+    """For each row of ``moves`` (x-chart coordinates), one at a time: the input ``x`` moved from ``point``
+    along ``blocks``' x chart and retracted, and its re-solve from the first-order prediction ``y_pred``
+    (:func:`crep._predicted_starts`), kept if it converged and its correction is second order:
+    ``||y - y_pred|| <= 0.1 * ||y_pred - y0|| + 1e-12 * problem.scale``.  Otherwise the re-solve from
+    ``(y0, z0)``.  y is the variable kappa_y measures; ``z`` may end anywhere.
 
     Near the point the prediction misses the solution by O(radius**2) (0.13 to 2 * radius**2 / scale on the
     built-in problems) while it moves y by O(radius); a larger correction means the first-order model fails,
     as on polar at radius 1, where the prediction converges to the other branch of the solution set.  The
     absolute slack is the resolver's tolerance, so ``y_pred = y0`` (``kappa_y = 0``) is kept at ``y0``.
     """
-    res = constrained_nearest_solution(problem, point, x, start=start)
-    y_pred = start[0]
-    bound = 0.1 * float(np.linalg.norm(y_pred - point.y)) + 1e-12 * problem.scale
-    if res.converged and float(np.linalg.norm(res.y - y_pred)) <= bound:
-        return res
-    return constrained_nearest_solution(problem, point, x)
+    for move, (y_pred, z_pred) in zip(moves, _predicted_starts(problem, point, blocks, moves)):
+        x = problem.x_retract(point.x, blocks._x_basis @ move)
+        res = constrained_nearest_solution(problem, point, x, start=(y_pred, z_pred))
+        bound = 0.1 * float(np.linalg.norm(y_pred - point.y)) + 1e-12 * problem.scale
+        if not (res.converged and float(np.linalg.norm(res.y - y_pred)) <= bound):
+            res = constrained_nearest_solution(problem, point, x)
+        yield x, res
 
 
 def finite_difference_check(
@@ -170,7 +172,7 @@ def finite_difference_check(
 
     ``direction`` is a unit vector in the input chart.  For each step ``t`` the input is moved to
     ``x0 +- t * direction`` (retracted) and re-solved in at most 100 Newton steps, from the first-order
-    prediction while its correction is second order, else from ``(y0, z0)`` (:func:`_resolve_from_prediction`),
+    prediction while its correction is second order, else from ``(y0, z0)`` (:func:`_resolves`),
     and ``(y(t) - y(-t)) / 2t`` is compared with the ambient image of ``DH @ direction``.  Errors decrease
     with ``t`` down to the solver noise floor.  A failed re-solve raises :class:`ResolveFailure`.
     """
@@ -187,8 +189,7 @@ def finite_difference_check(
     signed = [sign * t for t in steps for sign in (+1.0, -1.0)]
     moves = np.array([s * direction for s in signed]).reshape(len(signed), direction.size)
     ys = []
-    for s, move, start in zip(signed, moves, _predicted_starts(problem, point, blocks, moves)):
-        res = _resolve_from_prediction(problem, point, problem.x_retract(point.x, blocks._x_basis @ move), start)
+    for s, (_, res) in zip(signed, _resolves(problem, point, blocks, moves)):
         if not res.converged:
             raise ResolveFailure(f"re-solve failed at step {s:+.3e}: {res.message}")
         ys.append(res.y)
@@ -211,7 +212,7 @@ def empirical_condition(
     number from below at first order.  The reported ratio uses the actual
     ambient input distance after retraction.  Each sample is re-solved from
     its first-order prediction while the correction is second order, else
-    from ``(y0, z0)`` (:func:`_resolve_from_prediction`): past the
+    from ``(y0, z0)`` (:func:`_resolves`): past the
     certificate's radius a prediction can reach another branch of the
     solution set, as on polar at radius 1, or stall at its pole ``y = 0``.
     """
@@ -228,9 +229,7 @@ def empirical_condition(
 
     max_ratio = 0.0
     n_failed = 0
-    for move, start in zip(moves, _predicted_starts(problem, point, blocks, moves)):
-        x_t = problem.x_retract(point.x, blocks._x_basis @ move)
-        res = _resolve_from_prediction(problem, point, x_t, start)
+    for x_t, res in _resolves(problem, point, blocks, moves):
         if not res.converged:
             n_failed += 1
             continue

@@ -686,6 +686,28 @@ def test_certificate_ranks_equal_the_direct_ranks(monkeypatch):
         assert rank_df == numerical_rank(np.hstack([blocks.j_x, j_yz]), rtol).rank == r
 
 
+def _reference_cases():
+    yield (*polar_problem(0.0), None)
+    yield (*matrix_factorization_problem(4, 3, 2, seed=0), None)
+    for i in range(5):
+        b = random_linearized_blocks((107, i))
+        yield (*linearized_problem(b.j_x, b.j_y, b.j_z), None)
+    point = random_tucker_point((6, 5, 4), (3, 3, 2), 5)
+    problem, pt = build_tucker_crep(TuckerCrepConfig(point, "core"))
+    yield problem, pt, _tucker_groups(point, problem)
+    yield (*_grouped_rank_change_problem(), GROUPS)  # fails, with a message per sample
+
+
+def test_certificate_is_the_same_with_the_reference_blocks_given():
+    """The kappa stage hands certify_crep the reference blocks it evaluated (``_reference``); the
+    certificate, every field and message, is the one certify_crep gets by evaluating the point itself."""
+    for problem, point, groups in _reference_cases():
+        given = certify_crep(problem, point, n_samples=2, seed=1, groups=groups,
+                             _reference=crep._reference_blocks(problem, point))
+        assert given.passed == (groups is not GROUPS) and given.samples_checked == 2
+        assert given == certify_crep(problem, point, n_samples=2, seed=1, groups=groups)
+
+
 def _kernel_row_cut_problem(eps0, curvature=0.0, rtol=1e-8):
     """``F(x, w) = A(x) w - (x1, 0)`` with ``w = (y, z1, z2)`` and ``A(x) = [[1, 0, 0], [0, 1, eps(x)]]``,
     ``eps(x) = eps0 + curvature * x1**2``.  The kernel of A is (0, -eps, 1) / sqrt(1 + eps**2), so z1's

@@ -102,21 +102,21 @@ def near_equal_core_point():
 
 def test_resolve_satisfies_first_order_optimality():
     cases = [
-        (*polar_problem(0.0), None),
-        (*matrix_factorization_problem(4, 3, 2, seed=33), None),
-        (*build_tucker_crep(TuckerCrepConfig(random_tucker_point((4, 3), (2, 2), 34), 0)), None),
-        # The nearest solution moves z by more than the default trust radius.
-        (*near_equal_core_point(), np.inf),
+        polar_problem(0.0),
+        matrix_factorization_problem(4, 3, 2, seed=33),
+        build_tucker_crep(TuckerCrepConfig(random_tucker_point((4, 3), (2, 2), 34), 0)),
+        # The nearest solution moves z by 2.2 (||z0|| = 2) along a kernel vector whose y part is ~1e-8.
+        near_equal_core_point(),
     ]
     solver_tol_scale = 1e-12
-    for problem, pt, z_trust in cases:
+    for problem, pt in cases:
         solver_tol = solver_tol_scale * problem.scale
         cx = problem.x_chart(pt.x, pt.y, pt.z)
         rng = np.random.default_rng(35)
         d = rng.standard_normal(problem.dims.dim_x)
         d /= np.linalg.norm(d)
         x_pert = problem.x_retract(pt.x, cx.basis @ (1e-4 * problem.scale * d))
-        res = constrained_nearest_solution(problem, pt, x_pert, z_trust=z_trust)
+        res = constrained_nearest_solution(problem, pt, x_pert)
         assert res.converged, res.message
         _, j_y_a, j_z_a = problem.jacobian(x_pert, res.y, res.z)
         cy = problem.y_chart(x_pert, res.y, res.z)
@@ -260,6 +260,19 @@ def test_empirical_past_the_polar_pole_keeps_the_branch_of_the_reference():
     est = empirical_condition(*polar_problem(0.5), radius=1.0, n_samples=5, seed=3)
     assert est.n_failed == 4
     assert est.max_ratio == pytest.approx(4.0 / 3.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_empirical_linear_samples_converge_wherever_z_ends(seed):
+    """On a linear problem every sample is exact, however far z must move: here z0 = 0 and radius
+    1e-2 * scale moves z by about 0.5, and each re-solve converges wherever z ends."""
+    blocks = random_linearized_blocks((9, 0))
+    problem, point = linearized_problem(blocks.j_x, blocks.j_y, blocks.j_z)
+    kappa = float(np.linalg.svd(solution_map_derivative(blocks), compute_uv=False)[0])
+    assert kappa == pytest.approx(3.3647, abs=1e-4)
+    est = empirical_condition(problem, point, radius=1e-2 * problem.scale, n_samples=3, seed=seed)
+    assert est.n_failed == 0
+    assert est.max_ratio == pytest.approx(kappa, rel=1e-8)
 
 
 def test_empirical_condition_evaluates_each_sample_twice():
