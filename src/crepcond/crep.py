@@ -47,7 +47,6 @@ from .linalg import (
     _resolve_rtol,
     _solve,
     _svd,
-    _Svd,
     RankDecision,
     as_matrix,
     kernel_basis,
@@ -245,7 +244,7 @@ class JacobianBlocks:
     _x_basis: np.ndarray | None = field(default=None, repr=False, compare=False)
     _y_basis: np.ndarray | None = field(default=None, repr=False, compare=False)
     _z_basis: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _yz: _Svd | None = field(default=None, repr=False, compare=False)
+    _yz: RankDecision | None = field(default=None, repr=False, compare=False)
     _rows: dict | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -403,7 +402,7 @@ def solution_map_derivative(blocks: JacobianBlocks) -> np.ndarray:
     return _solve(a, f, rhs, scale)
 
 
-def _yz_svd(blocks: JacobianBlocks, rtol: float | None) -> _Svd:
+def _yz_svd(blocks: JacobianBlocks, rtol: float | None) -> RankDecision:
     """The SVD of ``[j_y  j_z]`` (full ``vh`` when wide) cut at ``rtol``: the reference's, else a new one."""
     if blocks._yz is not None:
         return blocks._yz
@@ -411,7 +410,7 @@ def _yz_svd(blocks: JacobianBlocks, rtol: float | None) -> _Svd:
     return _svd(j_yz, rtol, full=j_yz.shape[0] < j_yz.shape[1])
 
 
-def _kernel_rows(kern: np.ndarray, rows: slice, rtol: float | None, known: dict | None = None) -> _Svd:
+def _kernel_rows(kern: np.ndarray, rows: slice, rtol: float | None, known: dict | None = None) -> RankDecision:
     """SVD of the ``rows`` of an orthonormal kernel basis, cut at ``rtol * 1``: their singular values are
     cosines.  ``known`` (a reference's ``_rows``) keeps each one, by row range, for the next caller."""
     key, known = rows.indices(len(kern))[:2], {} if known is None else known
@@ -545,14 +544,14 @@ def _rank_checks(blocks: JacobianBlocks, rtol: float, groups: dict[str, slice], 
     ``tolerance`` None (the reference point) takes rank DF and the tolerance from one SVD of DF."""
     f = _yz_svd(blocks, rtol)
     r, kern, sigma_r = f.rank, f.vh[f.rank :].T, f.s[f.rank - 1] if f.rank else np.inf
-    k, gaps = {}, [RankDecision(r, f.s, f.tol).gap_at_cut()]
+    k, gaps = {}, [f.gap_at_cut()]
     for label, cols in groups.items():
         g = _kernel_rows(kern, cols, rtol, blocks._rows)
         k[label] = r - (cols.stop - cols.start) + g.rank
-        gaps.append(sigma_r * RankDecision(g.rank, g.s, g.tol).gap_at_cut())
+        gaps.append(sigma_r * g.gap_at_cut())
     if tolerance is None:
         d_df = numerical_rank(np.hstack([blocks.j_x, blocks.j_y, blocks.j_z]), rtol)
-        rank_df, tolerance = d_df.rank, max(d_df.tolerance_used, rtol * 1e-300)  # rtol * sigma_max(DF)
+        rank_df, tolerance = d_df.rank, max(d_df.tol, rtol * 1e-300)  # rtol * sigma_max(DF)
         gaps.append(d_df.gap_at_cut())
     else:
         off = blocks.j_x - f.u[:, :r] @ (f.u[:, :r].T @ blocks.j_x)
@@ -623,11 +622,11 @@ def certify_crep(
     vary across samples, or if no sample could be re-solved; a re-solve failure is counted and its
     sample skipped.  Every rank cut is taken at ``problem.rtol``.
 
-    ``groups`` maps labels to column ranges ``slice(start, stop)`` of
-    ``[j_y j_z]``; for each, the rank ``k`` of ``[j_y j_z]`` without those
-    columns must not change, and a message for a change names the group.
-    The certificate records the first group's ``k``.  None is the one group
-    ``y``, whose ``k`` is the rank of ``j_z``.
+    ``groups`` maps labels to column ranges ``slice(start, stop)`` of ``[j_y j_z]``; for each, the rank ``k``
+    of ``[j_y j_z]`` without those columns must not change, and a message for a change names the group.  The
+    certificate records the first group's ``k``.  None is the one group ``y``, whose ``k`` is the rank of
+    ``j_z``; :func:`condition_numbers` adds ``z``.  Each rank cut is a :class:`crepcond.linalg.RankDecision`,
+    and ``min_gap`` is the smallest of their gaps at the cut (see :class:`RankCertificate`).
 
     ``_reference`` (private) is :func:`_reference_blocks` at ``point`` when the caller has already
     evaluated it, as the kappa stage of :func:`condition_numbers` does to reuse it; None evaluates it here.
@@ -725,13 +724,17 @@ def condition_numbers(
 ) -> ConditionReport:
     """Certify ``point``, sampling at ``1e-4 * problem.scale``, and compute its condition numbers.
 
-    The kappa stage reuses the certificate's evaluation of ``point`` and cuts
-    at its tolerance, ``problem.rtol``.  When certification fails the report
-    carries the failed certificate and ``None`` condition numbers instead of
-    numeric sentinels.
+    The certificate checks the groups ``y`` (rank ``j_z`` constant, kappa_y's hypothesis; its ``k`` is the
+    certificate's) and ``z`` (rank ``j_y`` constant, kappa_z's), and its messages name them.  A block with no
+    columns has rank 0 everywhere: an empty ``z`` adds no group, and an empty ``y`` leaves the default one.  The
+    kappa stage reuses the certificate's evaluation of ``point`` and cuts at its tolerance, ``problem.rtol``.
+    When certification fails the report carries the failed certificate and ``None`` condition numbers.
     """
+    dim_y, dim_z = problem.dims.dim_y, problem.dims.dim_z
+    groups = {"y": slice(0, dim_y), "z": slice(dim_y, dim_y + dim_z)} if dim_z else {"y": slice(0, dim_y)}
     blocks = _reference_blocks(problem, point)
-    certificate = certify_crep(problem, point, n_samples=n_samples, seed=seed, _reference=blocks)
+    certificate = certify_crep(problem, point, n_samples=n_samples, seed=seed, groups=groups if dim_y else None,
+                               _reference=blocks)
     if not certificate.passed:
         return ConditionReport(kappa_y=None, kappa_z=None, kappa_yz=None, dh=None, certificate=certificate)
     kappa_y, kappa_z, kappa_yz, dh = condition_numbers_from_blocks(blocks, problem.rtol)

@@ -4,8 +4,9 @@ minimum-norm solves, and spectral norms.
 Every SVD in the package is taken by one private helper, :func:`_svd`, with
 its rank cut, so rank decisions stay consistent; other modules must not call
 ``np.linalg.svd``.  Rank tolerances are explicit, finite and positive, and
-every decision records the absolute threshold it used, which lets downstream
-rank certificates be audited after the fact.
+each decision is one :class:`RankDecision` record (the spectrum, the rank and
+the absolute threshold it used), which lets downstream rank certificates be
+audited after the fact.
 
 Matrices with zero rows or columns are first-class inputs everywhere (they
 show up naturally as trivial kernels and empty latent spaces) and produce
@@ -17,7 +18,6 @@ Callers must compare subspaces, not entries; see :func:`subspace_distance`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -67,9 +67,10 @@ def _resolve_rtol(rtol: float | None, shape: tuple[int, int]) -> float:
     return rtol
 
 
-class _Svd(NamedTuple):
-    """An SVD and its rank cut: ``rank = #{s > tol}``, ``norm = sigma_max`` and
-    ``tol = rtol * norm``, or ``rtol`` times the scale the caller gave :func:`_svd`."""
+class RankDecision(NamedTuple):
+    """A numerical rank decision, made only by :func:`_svd`: the nonincreasing spectrum ``s`` (kept for audit,
+    e.g. the gap at the cut), ``rank = #{s > tol}``, ``norm = sigma_max`` and ``tol = rtol * norm``, or ``rtol``
+    times the scale the caller gave; ``u`` and ``vh`` are the SVD's factors, None when not computed."""
 
     u: np.ndarray | None
     s: np.ndarray
@@ -79,8 +80,20 @@ class _Svd(NamedTuple):
     norm: float
     rtol: float
 
+    def gap_at_cut(self) -> float:
+        """Singular-value gap around the rank cut.
 
-def _svd(m, rtol: float | None = None, *, full: bool = False, uv: bool = True, scale: float | None = None) -> _Svd:
+        Returns ``sigma[rank-1] - sigma[rank]`` with out-of-range entries
+        treated as +inf above and 0 below.  A small gap means the rank
+        decision is sensitive to the tolerance.
+        """
+        s = self.s
+        hi = float(s[self.rank - 1]) if self.rank >= 1 else np.inf
+        lo = float(s[self.rank]) if self.rank < s.size else 0.0
+        return hi - lo
+
+
+def _svd(m, rtol: float | None = None, *, full: bool = False, uv: bool = True, scale: float | None = None) -> RankDecision:
     """The package's one SVD call, with its rank cut; ``uv=False`` leaves ``u`` and ``vh`` None.
 
     The cut is ``rtol`` times ``scale``, by default ``sigma_max``.  Rows of a matrix with
@@ -95,7 +108,7 @@ def _svd(m, rtol: float | None = None, *, full: bool = False, uv: bool = True, s
         u, s, vh = None, np.linalg.svd(m, compute_uv=False), None
     norm = float(s[0]) if s.size else 0.0
     tol = rtol * (norm if scale is None else scale)
-    return _Svd(u, s, vh, int(np.count_nonzero(s > tol)), tol, norm, rtol)
+    return RankDecision(u, s, vh, int(np.count_nonzero(s > tol)), tol, norm, rtol)
 
 
 def _is_orthonormal(b: np.ndarray, tol: float) -> bool:
@@ -104,40 +117,13 @@ def _is_orthonormal(b: np.ndarray, tol: float) -> bool:
     return bool(np.linalg.norm(err) <= tol or spectral_norm(err) <= tol)
 
 
-@dataclass(frozen=True)
-class RankDecision:
-    """Outcome of a numerical rank decision.
-
-    ``rank`` counts the singular values strictly above ``tolerance_used``,
-    the absolute cutoff ``rtol * sigma_max`` that was applied.  The full
-    nonincreasing spectrum is kept so the decision can be audited, e.g. to
-    measure the gap around the cut.
-    """
-
-    rank: int
-    singular_values: np.ndarray
-    tolerance_used: float
-
-    def gap_at_cut(self) -> float:
-        """Singular-value gap around the rank cut.
-
-        Returns ``sigma[rank-1] - sigma[rank]`` with out-of-range entries
-        treated as +inf above and 0 below.  A small gap means the rank
-        decision is sensitive to the tolerance.
-        """
-        s = self.singular_values
-        hi = float(s[self.rank - 1]) if self.rank >= 1 else np.inf
-        lo = float(s[self.rank]) if self.rank < s.size else 0.0
-        return hi - lo
-
-
 def numerical_rank(m, rtol: float | None = None) -> RankDecision:
-    """Numerical rank of ``m``: singular values above ``rtol * sigma_max``.
+    """Numerical rank of ``m``: singular values above ``rtol * sigma_max``, as the
+    :class:`RankDecision` of :func:`_svd` without ``u`` and ``vh``.
 
     Matrices with zero rows or columns have rank 0.
     """
-    f = _svd(m, rtol, uv=False)
-    return RankDecision(rank=f.rank, singular_values=f.s, tolerance_used=f.tol)
+    return _svd(m, rtol, uv=False)
 
 
 def kernel_basis(m, rtol: float | None = None) -> np.ndarray:
@@ -205,14 +191,14 @@ def min_norm_solve(a, b, rtol: float | None = None, *, scale: float = 0.0) -> np
     return x[:, 0] if vector_rhs else x
 
 
-def _lstsq(f: _Svd, b: np.ndarray) -> np.ndarray:
+def _lstsq(f: RankDecision, b: np.ndarray) -> np.ndarray:
     """Least-squares minimum-norm solution of ``a @ x = b`` (``b`` a vector or
     columns) from the factorization ``f`` of ``a``: ``pinv(a) @ b`` at ``f``'s rank cut."""
     s = f.s[: f.rank] if b.ndim == 1 else f.s[: f.rank, None]
     return f.vh[: f.rank].T @ ((f.u[:, : f.rank].T @ b) / s)
 
 
-def _solve(a: np.ndarray, f: _Svd, b: np.ndarray, scale: float) -> np.ndarray:
+def _solve(a: np.ndarray, f: RankDecision, b: np.ndarray, scale: float) -> np.ndarray:
     """Minimum-norm solution of ``a @ x = b`` from the factorization ``f`` of
     ``a``, with the consistency check documented in :func:`min_norm_solve`."""
     x = _lstsq(f, b)

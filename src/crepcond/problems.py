@@ -135,10 +135,7 @@ def matrix_factorization_problem(m: int, n: int, k_rank: int, seed: int = 0) -> 
 
     def x_retract(x, dx):
         f = _svd((x + dx).reshape(m, n))
-        return (f.u[:, :k_rank] * f.s[:k_rank]) @ f.vh[:k_rank]
-
-    def x_retract_vec(x, dx):
-        return x_retract(x, dx).ravel()
+        return ((f.u[:, :k_rank] * f.s[:k_rank]) @ f.vh[:k_rank]).ravel()
 
     problem = CrepProblem(
         name=f"matrix_factorization(m={m}, n={n}, k={k_rank}, seed={seed})",
@@ -148,7 +145,7 @@ def matrix_factorization_problem(m: int, n: int, k_rank: int, seed: int = 0) -> 
         x_chart=x_chart,
         y_chart=_flat_chart(m * k_rank),
         z_chart=_flat_chart(k_rank * n),
-        x_retract=x_retract_vec,
+        x_retract=x_retract,
         scale=max(1.0, float(np.linalg.norm(x_ref))),
     )
     point = make_crep_point(problem, x_ref.ravel(), y_ref.ravel(), z_ref.ravel())

@@ -149,12 +149,12 @@ def build_tucker_crep(config: TuckerCrepConfig) -> tuple[CrepProblem, CrepPoint]
         return None, parts[out], np.hstack([parts[c] for c in comps[1:]])
 
     def tangent_blocks(x, y_vec, z_vec, r):
-        # Rows are coordinates in q, the x-chart basis at (core, factors) (mlrank_tangent_basis):
-        # row block 0 holds the core directions, block d + 1 perp_d (x) the rows of V_d.T, with
-        # C_(d) = W_d S_d V_d.T.  The core variable maps to [-I; 0]; a skew column U_d Omega of
-        # factor d to -vec(C x_d Omega) in block 0; its horizontal columns to -kron(I, (W_d S_d).T)
-        # in block d + 1.  So j_x = q.T q = I, and q.T r takes one multilinear multiply.  The
-        # y and z charts are the Stiefel charts from the same complement bases perp_d.
+        # Rows are coordinates in q, the x-chart basis at (core, factors) (mlrank_tangent_basis): row block 0
+        # holds the core directions, block d + 1 perp_d (x) the rows of V_d.T, with C_(d) = W_d S_d V_d.T.  The
+        # core variable maps to [-I; 0]; a skew column U_d Omega of factor d to -vec(C x_d Omega) in block 0;
+        # its horizontal columns to -kron(I, (W_d S_d).T) in block d + 1, built block by block (np.kron's
+        # 0 * (-s) = -0.0 can change the SVDs' rounding).  So j_x = q.T q = I, and q.T r takes one multilinear
+        # multiply.  The y and z charts are the Stiefel charts from the same complement bases perp_d.
         core, factors = unpack(y_vec, z_vec)
         frames = [_mode_frame(factors, core, d, rtol, n_res) for d in range(order)]
         j_yz = np.zeros((dim_x, dims.dim_y + dims.dim_z))
@@ -164,9 +164,7 @@ def build_tucker_crep(config: TuckerCrepConfig) -> tuple[CrepProblem, CrepPoint]
             c, n_skew, h = col_start[d], skew[d].shape[0], perp.shape[1]
             rotated = np.tensordot(skew[d], np.moveaxis(core, d, 0), axes=(2, 0))  # Omega_p C_(d)
             j_yz[: core.size, c : c + n_skew] = -np.moveaxis(rotated, 1, d + 1).reshape(n_skew, core.size).T
-            horizontal = np.zeros((h, ranks[d], h, ranks[d]))
-            horizontal[np.arange(h), :, np.arange(h), :] = -(f.u * f.s).T
-            j_yz[row_start[d] : row_start[d + 1], c + n_skew : c + dim_of[d]] = horizontal.reshape(h * ranks[d], h * ranks[d])
+            j_yz[row_start[d] : row_start[d + 1], c + n_skew : c + dim_of[d]] = _block_diag([-(f.u * f.s).T] * h)
         qr = None
         if r is not None:
             t = multilinear_multiply([np.hstack([u, perp]).T for u, (perp, _) in zip(factors, frames)],

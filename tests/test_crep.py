@@ -424,6 +424,31 @@ def test_condition_numbers_failed_certificate_yields_none():
     assert report.dh is None
 
 
+def test_condition_numbers_certifies_kappa_z_by_the_z_group():
+    # F = A(x)(y, z1, z2) - x with A(x) = [[x1, 1, 0], [0, 0, 1]]: j_y = (x1, 0) has rank 0 at x = 0
+    # and 1 at every sample, so kappa_z (z the output, y latent) lacks its constant-rank hypothesis.
+    # rank j_z and rank [j_y j_z] stay 2: only the z group sees it.
+    def residual(x, y, z):
+        return np.array([x[0] * y[0] + z[0] - x[0], z[1] - x[1]])
+
+    def jacobian(x, y, z):
+        return np.array([[y[0] - 1.0, 0.0], [0.0, -1.0]]), np.array([[x[0]], [0.0]]), np.eye(2)
+
+    def chart(dim):
+        return lambda x, y, z: TangentChart.full(dim)
+
+    problem = CrepProblem(
+        name="rank-jump-in-j_y", dims=CrepDims(2, 1, 2, 2), residual=residual, jacobian=jacobian,
+        x_chart=chart(2), y_chart=chart(1), z_chart=chart(2),
+    )
+    point = make_crep_point(problem, [0.0, 0.0], [0.0], [0.0, 0.0])
+    report = condition_numbers(problem, point, n_samples=2)
+    cert = report.certificate
+    assert (cert.passed, cert.r, cert.k, cert.samples_checked) == (False, 2, 2, 2)
+    assert cert.messages and all(msg.endswith("for group z") for msg in cert.messages)
+    assert report.kappa_y is None and report.kappa_z is None and report.kappa_yz is None and report.dh is None
+
+
 def test_monotonicity_on_random_instances():
     for i in range(40):
         kappa_y, kappa_z, kappa_yz, _ = condition_numbers_from_blocks(random_linearized_blocks((103, i)))

@@ -59,7 +59,7 @@ def span_of(*columns):
 def test_rank_identity():
     d = numerical_rank(np.eye(3), 1e-12)
     assert d.rank == 3
-    assert d.tolerance_used == pytest.approx(1e-12)
+    assert d.tol == pytest.approx(1e-12)
 
 
 def test_rank_outer_product():
@@ -79,19 +79,19 @@ def test_rank_decision_invariant():
     for i in range(30):
         m = rng.standard_normal((rng.integers(1, 7), rng.integers(1, 7)))
         d = numerical_rank(m)
-        s = d.singular_values
+        s = d.s
         assert np.all(np.diff(s) <= 0)
         if d.rank >= 1:
-            assert s[d.rank - 1] > d.tolerance_used
+            assert s[d.rank - 1] > d.tol
         below = s[d.rank] if d.rank < s.size else 0.0
-        assert d.tolerance_used >= below
+        assert d.tol >= below
 
 
 def test_rank_empty_and_zero():
     assert numerical_rank(np.zeros((0, 4))).rank == 0
     assert numerical_rank(np.zeros((4, 0))).rank == 0
     d = numerical_rank(np.zeros((3, 3)))
-    assert d.rank == 0 and d.tolerance_used == 0.0
+    assert d.rank == 0 and d.tol == 0.0
 
 
 def test_rank_rejects_bad_rtol_and_nonfinite():
@@ -99,6 +99,25 @@ def test_rank_rejects_bad_rtol_and_nonfinite():
         numerical_rank(np.eye(2), rtol=-1.0)
     with pytest.raises(ValueError):
         numerical_rank([[np.nan, 0.0]])
+
+
+def test_rank_decision_is_the_one_record_of_a_cut():
+    # gap_at_cut is sigma[rank-1] - sigma[rank], with +inf above a rank-0 cut and 0 below a full-rank one.
+    assert numerical_rank(np.diag([4.0, 2.0, 1e-20]), 1e-12).gap_at_cut() == 2.0 - 1e-20  # interior cut
+    assert numerical_rank(np.diag([4.0, 0.5]), 1e-12).gap_at_cut() == 0.5  # full rank: the last value minus 0
+    roundoff = linalg._svd(np.full((2, 3), 1e-20), 1e-12, scale=1.0)  # a kernel-row cut: rank 0 under the scale
+    assert roundoff.rank == 0 and roundoff.s[0] > 0 and roundoff.gap_at_cut() == np.inf
+    for shape in ((0, 3), (3, 0), (0, 0)):
+        d = numerical_rank(np.zeros(shape))
+        assert d.rank == 0 and d.s.size == 0 and d.gap_at_cut() == np.inf
+    # numerical_rank is _svd's record without u and vh, field for field.
+    rng = np.random.default_rng(3)
+    for m, rtol in ((rng.standard_normal((5, 3)), None), (rng.standard_normal((4, 2)) @ rng.standard_normal((2, 6)), 1e-10),
+                    (np.zeros((2, 0)), None)):
+        d, f = numerical_rank(m, rtol), linalg._svd(m, rtol, uv=False)
+        assert type(d) is linalg.RankDecision and d._fields == ("u", "s", "vh", "rank", "tol", "norm", "rtol")
+        assert d.u is None and d.vh is None and f.u is None and f.vh is None
+        assert np.array_equal(d.s, f.s) and (d.rank, d.tol, d.norm, d.rtol) == (f.rank, f.tol, f.norm, f.rtol)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +342,7 @@ def test_empty_matrices_flow_through():
         x = min_norm_solve(m, np.zeros((shape[0], 2)))
         assert x.shape == (shape[1], 2)
         assert spectral_norm(m) == 0
-        assert numerical_rank(m).tolerance_used == 0
+        assert numerical_rank(m).tol == 0
         assert np.array_equal(kernel_basis(m), np.eye(shape[1]))
         assert np.array_equal(complement_basis(m), np.eye(shape[0]))
 
